@@ -782,16 +782,16 @@ pub fn sec85(access_switches: usize, mac_entries: usize, routes: usize) -> Table
 }
 
 /// The §8.5 department network rendered as a machine-readable JSON document:
-/// the same outbound and inbound injections as [`sec85`], through
-/// `report_to_json`, with the two timing fields zeroed so repeated runs of
-/// the same binary produce byte-identical output.
+/// the same outbound and inbound injections as [`sec85`], each rendered by
+/// `write_report_json` one level deep, with the two timing fields zeroed so
+/// repeated runs of the same binary produce byte-identical output.
 ///
 /// This is the comparison form behind the `paper -- sec85 --report-json`
 /// flag: the persistent solver cache replays the exact counters of the
 /// computation it memoized, so this JSON is byte-identical between a cold
 /// run and a warm-disk run — CI asserts exactly that.
 pub fn sec85_report_json(access_switches: usize, mac_entries: usize, routes: usize) -> String {
-    use symnet_core::report::report_to_json;
+    use symnet_core::report::write_report_json;
     use symnet_models::scenarios::{department, DepartmentConfig};
     let (net, topo) = department(DepartmentConfig {
         access_switches,
@@ -812,11 +812,12 @@ pub fn sec85_report_json(access_switches: usize, mac_entries: usize, routes: usi
         report.wall_time = Duration::ZERO;
         report.solver_stats.time_in_solver = Duration::ZERO;
     }
-    let doc = serde_json::json!({
-        "outbound": report_to_json(&outbound, engine.network()),
-        "inbound": report_to_json(&inbound, engine.network()),
-    });
-    serde_json::to_string_pretty(&doc).expect("report JSON serialisation cannot fail")
+    let mut doc = String::from("{\n  \"outbound\": ");
+    write_report_json(&mut doc, &outbound, engine.network(), 1);
+    doc.push_str(",\n  \"inbound\": ");
+    write_report_json(&mut doc, &inbound, engine.network(), 1);
+    doc.push_str("\n}");
+    doc
 }
 
 /// §8.3: the automated-testing bug catalogue.

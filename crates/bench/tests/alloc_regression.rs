@@ -1,13 +1,19 @@
-//! Allocation-regression gate (enabled with `--features count-allocs`).
+//! Allocation-regression gates (enabled with `--features count-allocs`).
 //!
-//! Runs the §8.5 outbound department verification — the workload the interner
-//! and small-value-storage work (hash-consed formulas, inline interval sets,
-//! inline cube literals) was sized against — under the counting global
-//! allocator and fails if allocator traffic regresses past a generous
+//! Allocation counts repeat exactly from run to run, which wall-clock numbers
+//! on a shared box do not, so these are the first gate a regression meets.
+//!
+//! The first runs the §8.5 outbound department verification — the workload
+//! the interner and small-value-storage work (hash-consed formulas, inline
+//! interval sets, inline cube literals) was sized against — under the counting
+//! global allocator and fails if allocator traffic regresses past a generous
 //! ceiling. The ceiling is ~2× the count measured when the gate was
 //! introduced (see docs/BENCHMARKS.md for the measured before/after numbers),
 //! so it only trips on wholesale regressions (an accidental `clone()` in the
 //! hot loop, a lost inline representation), not on noise.
+//!
+//! The second renders the Figure 8 basic-switch report and bounds the
+//! allocations of the report writer (see the test's doc comment).
 //!
 //! Without the feature the binary compiles to nothing; CI runs it as
 //! `cargo test -p symnet-bench --features count-allocs --test alloc_regression --release`.
@@ -15,7 +21,10 @@
 #![cfg(feature = "count-allocs")]
 
 use symnet_core::engine::{ExecConfig, SymNet};
+use symnet_core::network::Network;
+use symnet_core::report::canonical_report_json_string;
 use symnet_models::scenarios::{department, DepartmentConfig};
+use symnet_models::switch::{switch_basic, MacTable};
 use symnet_models::tcp_options::symbolic_options_metadata;
 use symnet_sefl::packet::symbolic_tcp_packet;
 use symnet_sefl::Instruction;
@@ -23,11 +32,23 @@ use symnet_sefl::Instruction;
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator::new();
 
+/// The counters are process-global and the test harness runs tests on
+/// parallel threads: each test holds this lock while it measures.
+static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn measuring() -> std::sync::MutexGuard<'static, ()> {
+    // A failed assertion in the other test poisons the lock, not the counters.
+    MEASURING
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Allocations allowed per measured run (~2× the count at introduction).
 const MAX_ALLOCATIONS_PER_RUN: u64 = 8_000; // measured 3 604 at introduction
 
 #[test]
 fn sec85_outbound_stays_within_allocation_budget() {
+    let _alone = measuring();
     let (net, topo) = department(DepartmentConfig {
         access_switches: 6,
         mac_entries: 600,
@@ -66,6 +87,60 @@ fn sec85_outbound_stays_within_allocation_budget() {
         delta.allocations <= MAX_ALLOCATIONS_PER_RUN,
         "sec85 outbound run allocated {} times (budget {MAX_ALLOCATIONS_PER_RUN}); \
          allocator traffic regressed — see docs/BENCHMARKS.md",
+        delta.allocations
+    );
+}
+
+/// Allocations allowed for one rendering of the fig8 basic/440 report.
+const MAX_RENDER_ALLOCATIONS: u64 = 1_000; // measured 126 at introduction
+
+/// Rendering the canonical report of the Figure 8 basic switch with 440 MAC
+/// entries: 441 paths whose conditions hold 97 460 conjuncts between them,
+/// 880 of them distinct, and traces of the same shape — 9.3 MB of JSON.
+///
+/// The `Value`-tree renderer this gate was introduced against allocated
+/// several times per conjunct and trace entry *occurrence*: 1 663 886
+/// allocations, 136.9 MB requested. The streaming writer allocates only when
+/// one of its buffers grows (the output, the distinct-conjunct cache, the
+/// scratch vectors) and for the 15 header-field descriptors it builds once
+/// per call: 126 allocations, 33.8 MB requested. The budget sits below one
+/// allocation per path and header field (441 × 15), so a descriptor table
+/// rebuilt per path trips it, and far below one per occurrence.
+#[test]
+fn fig8_basic_440_render_stays_within_allocation_budget() {
+    let _alone = measuring();
+    let mut net = Network::new();
+    let switch = net.add_element(switch_basic("switch", &MacTable::synthetic(440, 20)));
+    let engine = SymNet::with_config(net, ExecConfig::default().with_threads(1));
+    let report = engine.inject(switch, 0, &symbolic_tcp_packet());
+    assert_eq!(report.path_count(), 441);
+
+    let conjuncts: usize = report
+        .paths
+        .iter()
+        .map(|p| p.state.constraint_count())
+        .sum();
+    assert_eq!(conjuncts, 97_460);
+
+    let before = alloc_counter::snapshot();
+    let text = canonical_report_json_string(&report, engine.network());
+    let delta = alloc_counter::snapshot().since(&before);
+
+    eprintln!(
+        "fig8 basic/440 render: {} bytes of JSON, {} allocations, {} bytes allocated",
+        text.len(),
+        delta.allocations,
+        delta.bytes_allocated
+    );
+    assert!(
+        text.len() > 8_000_000,
+        "report shrank to {} bytes",
+        text.len()
+    );
+    assert!(
+        delta.allocations <= MAX_RENDER_ALLOCATIONS,
+        "rendering allocated {} times (budget {MAX_RENDER_ALLOCATIONS}); the writer must \
+         allocate per distinct conjunct, not per occurrence",
         delta.allocations
     );
 }

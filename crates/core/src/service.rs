@@ -27,7 +27,7 @@
 //!   merges the fresh results with the kept ones. Because every emitted path
 //!   carries its fork lineage, the merged report sorts into exactly the order
 //!   a from-scratch run produces: the canonical JSON
-//!   ([`crate::report::canonical_report_json`]) is byte-identical to
+//!   ([`crate::report::canonical_report_json_string`]) is byte-identical to
 //!   re-running the whole query, at any thread count, in either solver mode.
 //!
 //! Results reported by an incremental verification differ from a from-scratch
@@ -475,7 +475,7 @@ fn verify_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::canonical_report_json;
+    use crate::report::canonical_report_json_string;
     use symnet_sefl::cond::Condition;
     use symnet_sefl::fields::{ip_dst, ip_ttl};
     use symnet_sefl::packet::symbolic_tcp_packet;
@@ -523,8 +523,8 @@ mod tests {
         assert_eq!(second.stats.reexplored_paths, 0);
         // The cached answer is byte-identical to the fresh one.
         assert_eq!(
-            canonical_report_json(&first.report, service.network()),
-            canonical_report_json(&second.report, service.network()),
+            canonical_report_json_string(&first.report, service.network()),
+            canonical_report_json_string(&second.report, service.network()),
         );
     }
 
@@ -550,8 +550,8 @@ mod tests {
             .try_inject(a, 0, &symbolic_tcp_packet())
             .unwrap();
         assert_eq!(
-            canonical_report_json(&incremental.report, service.network()),
-            canonical_report_json(&scratch, service.network()),
+            canonical_report_json_string(&incremental.report, service.network()),
+            canonical_report_json_string(&scratch, service.network()),
         );
         // The path through the filter carries the post-delta constraint.
         let path = incremental.report.delivered_at(f, 0).next().unwrap();

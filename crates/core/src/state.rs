@@ -757,6 +757,15 @@ impl ExecState {
         self.trace.entries()
     }
 
+    /// The execution trace as its shared cons-list: the length, and a
+    /// borrowing newest-first walk that allocates nothing. Forked paths share
+    /// the cells of their common prefix, so two entries at the same address
+    /// are the same cell — which is how the report writer recognises a prefix
+    /// it has already rendered.
+    pub fn trace_list(&self) -> &Trace {
+        &self.trace
+    }
+
     /// The ports visited by this path, in order.
     pub fn ports_visited(&self) -> Vec<&str> {
         let mut ports: Vec<&str> = self

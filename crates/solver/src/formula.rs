@@ -194,6 +194,12 @@ impl Formula {
 
     /// Conjunction with flattening, constant folding, and deduplication of
     /// structurally identical children (first occurrence wins).
+    ///
+    /// The report writer of `symnet-core` prints a path condition as this
+    /// function would build it, without calling it: one level of flattening,
+    /// `True` skipped, `False` absorbing, first-wins structural dedup. A
+    /// change to that contract must change the writer with it; the property
+    /// test in `tests/report_format.rs` compares the two.
     pub fn and(parts: Vec<Formula>) -> Formula {
         let mut out = Vec::with_capacity(parts.len());
         let mut index = None;

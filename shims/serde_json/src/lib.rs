@@ -326,35 +326,54 @@ impl serde::Error for Error {
 // Printing
 // ---------------------------------------------------------------------------
 
+// Both printers walk the `Content` tree a value serializes to. A `Value` is
+// no exception, so printing one costs a single conversion, not the round trip
+// through `to_value`.
+
+/// Appends `s` as a JSON string literal, copying the runs between bytes that
+/// need an escape in one piece (every such byte is ASCII, so the run
+/// boundaries are character boundaries).
 fn escape_into(out: &mut String, s: &str) {
+    use fmt::Write as _;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut clean = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        if escape.is_empty() {
+            write!(out, "\\u{byte:04x}").expect("writing to a String cannot fail");
+        } else {
+            out.push_str(escape);
         }
+        clean = i + 1;
     }
+    out.push_str(&s[clean..]);
     out.push('"');
 }
 
-fn write_compact(out: &mut String, value: &Value) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => out.push_str(&n.to_string()),
-        Value::String(s) => escape_into(out, s),
-        Value::Array(a) => {
+fn write_compact(out: &mut String, content: &Content) {
+    use fmt::Write as _;
+    match content {
+        Content::Null => out.push_str("null"),
+        Content::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Content::Int(v) => write!(out, "{v}").expect("writing to a String cannot fail"),
+        Content::Float(v) => {
+            write!(out, "{}", Number::Float(*v)).expect("writing to a String cannot fail")
+        }
+        Content::Str(s) => escape_into(out, s),
+        Content::Seq(elems) => {
             out.push('[');
-            for (i, v) in a.iter().enumerate() {
+            for (i, v) in elems.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -362,9 +381,9 @@ fn write_compact(out: &mut String, value: &Value) {
             }
             out.push(']');
         }
-        Value::Object(m) => {
+        Content::Map(entries) => {
             out.push('{');
-            for (i, (k, v)) in m.iter().enumerate() {
+            for (i, (k, v)) in entries.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -377,36 +396,44 @@ fn write_compact(out: &mut String, value: &Value) {
     }
 }
 
-fn write_pretty(out: &mut String, value: &Value, indent: usize) {
-    let pad = "  ".repeat(indent);
-    let pad_inner = "  ".repeat(indent + 1);
-    match value {
-        Value::Array(a) if !a.is_empty() => {
-            out.push_str("[\n");
-            for (i, v) in a.iter().enumerate() {
+/// Appends a line break and `levels` levels of 2-space indentation.
+fn newline(out: &mut String, levels: usize) {
+    const SPACES: &str = "                                                                ";
+    out.push('\n');
+    let mut left = 2 * levels;
+    while left > 0 {
+        let n = left.min(SPACES.len());
+        out.push_str(&SPACES[..n]);
+        left -= n;
+    }
+}
+
+fn write_pretty(out: &mut String, content: &Content, indent: usize) {
+    match content {
+        Content::Seq(elems) if !elems.is_empty() => {
+            out.push('[');
+            for (i, v) in elems.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(",\n");
+                    out.push(',');
                 }
-                out.push_str(&pad_inner);
+                newline(out, indent + 1);
                 write_pretty(out, v, indent + 1);
             }
-            out.push('\n');
-            out.push_str(&pad);
+            newline(out, indent);
             out.push(']');
         }
-        Value::Object(m) if !m.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, v)) in m.iter().enumerate() {
+        Content::Map(entries) if !entries.is_empty() => {
+            out.push('{');
+            for (i, (k, v)) in entries.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(",\n");
+                    out.push(',');
                 }
-                out.push_str(&pad_inner);
+                newline(out, indent + 1);
                 escape_into(out, k);
                 out.push_str(": ");
                 write_pretty(out, v, indent + 1);
             }
-            out.push('\n');
-            out.push_str(&pad);
+            newline(out, indent);
             out.push('}');
         }
         other => write_compact(out, other),
@@ -416,7 +443,7 @@ fn write_pretty(out: &mut String, value: &Value, indent: usize) {
 /// Renders a serializable value as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_compact(&mut out, &to_value(value));
+    write_compact(&mut out, &value.to_content());
     Ok(out)
 }
 
@@ -424,29 +451,35 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 /// serde_json).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_pretty(&mut out, &to_value(value), 0);
+    write_pretty(&mut out, &value.to_content(), 0);
     Ok(out)
 }
 
 // ---------------------------------------------------------------------------
-// Parsing (used for round-trip tests)
+// Parsing
 // ---------------------------------------------------------------------------
 
+/// Parses into the `Content` tree deserialization starts from. The input is a
+/// `&str`, so every slice cut at an ASCII delimiter is valid UTF-8.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn byte(&self, at: usize) -> Option<u8> {
+        self.text.as_bytes().get(at).copied()
+    }
+
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\n' | b'\r' | b'\t')) {
+        while matches!(self.byte(self.pos), Some(b' ' | b'\n' | b'\r' | b'\t')) {
             self.pos += 1;
         }
     }
 
     fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
-        self.bytes.get(self.pos).copied()
+        self.byte(self.pos)
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
@@ -461,19 +494,19 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
+    fn parse_value(&mut self) -> Result<Content, Error> {
         match self.peek() {
             None => Err(Error("unexpected end of input".into())),
-            Some(b'n') => self.keyword("null", Value::Null),
-            Some(b't') => self.keyword("true", Value::Bool(true)),
-            Some(b'f') => self.keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
+            Some(b'n') => self.keyword("null", Content::Null),
+            Some(b't') => self.keyword("true", Content::Bool(true)),
+            Some(b'f') => self.keyword("false", Content::Bool(false)),
+            Some(b'"') => Ok(Content::Str(self.parse_string()?)),
             Some(b'[') => {
                 self.pos += 1;
                 let mut elems = Vec::new();
                 if self.peek() == Some(b']') {
                     self.pos += 1;
-                    return Ok(Value::Array(elems));
+                    return Ok(Content::Seq(elems));
                 }
                 loop {
                     elems.push(self.parse_value()?);
@@ -481,7 +514,7 @@ impl<'a> Parser<'a> {
                         Some(b',') => self.pos += 1,
                         Some(b']') => {
                             self.pos += 1;
-                            return Ok(Value::Array(elems));
+                            return Ok(Content::Seq(elems));
                         }
                         _ => return Err(Error(format!("expected ',' or ']' at {}", self.pos))),
                     }
@@ -489,10 +522,11 @@ impl<'a> Parser<'a> {
             }
             Some(b'{') => {
                 self.pos += 1;
-                let mut map = Map::new();
+                // A repeated key replaces the earlier entry, as in `Map`.
+                let mut map = Map::<String, Content>::new();
                 if self.peek() == Some(b'}') {
                     self.pos += 1;
-                    return Ok(Value::Object(map));
+                    return Ok(Content::Map(map.entries));
                 }
                 loop {
                     let key = self.parse_string()?;
@@ -503,7 +537,7 @@ impl<'a> Parser<'a> {
                         Some(b',') => self.pos += 1,
                         Some(b'}') => {
                             self.pos += 1;
-                            return Ok(Value::Object(map));
+                            return Ok(Content::Map(map.entries));
                         }
                         _ => return Err(Error(format!("expected ',' or '}}' at {}", self.pos))),
                     }
@@ -513,9 +547,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
+    fn keyword(&mut self, word: &str, value: Content) -> Result<Content, Error> {
         self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -525,80 +559,67 @@ impl<'a> Parser<'a> {
 
     fn parse_string(&mut self) -> Result<String, Error> {
         self.skip_ws();
-        if self.bytes.get(self.pos) != Some(&b'"') {
+        if self.byte(self.pos) != Some(b'"') {
             return Err(Error(format!("expected string at {}", self.pos)));
         }
         self.pos += 1;
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(Error("unterminated string".into())),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error("invalid \\u escape".into()))?,
-                                16,
-                            )
-                            .map_err(|_| Error("invalid \\u escape".into()))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error("invalid \\u escape".into()))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(Error("invalid escape".into())),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid utf-8".into()))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy everything up to the next quote or backslash in one piece.
+            let rest = &self.text[self.pos..];
+            let run = rest
+                .bytes()
+                .position(|b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error("unterminated string".into()))?;
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(out);
             }
+            match self.byte(self.pos) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{08}'),
+                Some(b'f') => out.push('\u{0c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .text
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| Error("truncated \\u escape".into()))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| Error("invalid \\u escape".into()))?;
+                    out.push(
+                        char::from_u32(code).ok_or_else(|| Error("invalid \\u escape".into()))?,
+                    );
+                    self.pos += 4;
+                }
+                _ => return Err(Error("invalid escape".into())),
+            }
+            self.pos += 1;
         }
     }
 
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    fn parse_number(&mut self) -> Result<Content, Error> {
         self.skip_ws();
         let start = self.pos;
         while matches!(
-            self.bytes.get(self.pos),
+            self.byte(self.pos),
             Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("invalid number".into()))?;
+        let text = &self.text[start..self.pos];
         if text.contains(['.', 'e', 'E']) {
             text.parse::<f64>()
-                .map(|v| Value::Number(Number::Float(v)))
+                .map(Content::Float)
                 .map_err(|_| Error(format!("invalid number `{text}`")))
         } else {
             text.parse::<i128>()
-                .map(|v| Value::Number(Number::Int(v)))
+                .map(Content::Int)
                 .map_err(|_| Error(format!("invalid number `{text}`")))
         }
     }
@@ -606,16 +627,13 @@ impl<'a> Parser<'a> {
 
 /// Parses JSON text into a deserializable value.
 pub fn from_str<'de, T: serde::Deserialize<'de>>(text: &str) -> Result<T, Error> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.parse_value()?;
+    let mut parser = Parser { text, pos: 0 };
+    let content = parser.parse_value()?;
     parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != text.len() {
         return Err(Error(format!("trailing input at byte {}", parser.pos)));
     }
-    serde::from_content(value_to_content(&value)).map_err(|e| Error(e.to_string()))
+    serde::from_content(content).map_err(|e| Error(e.to_string()))
 }
 
 // ---------------------------------------------------------------------------
@@ -739,6 +757,40 @@ mod tests {
         let text = to_string(&v).unwrap();
         let back: Value = from_str(&text).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn escapes_are_the_short_forms_then_u00xx_and_multibyte_text_is_copied() {
+        let s = "a\"b\\c\n\r\t\u{08}\u{0c}\u{00}\u{1f}\u{7f}δ→你好";
+        let text = to_string(&Value::String(s.into())).unwrap();
+        assert_eq!(
+            text,
+            "\"a\\\"b\\\\c\\n\\r\\t\\b\\f\\u0000\\u001f\u{7f}δ→你好\""
+        );
+        let back: String = from_str(&text).unwrap();
+        assert_eq!(back, s);
+        // `\uXXXX` and `\/` are read back even though never written.
+        let read: String = from_str("\"\\u00e9\\/\\u4f60\"").unwrap();
+        assert_eq!(read, "é/你");
+        assert!(from_str::<String>("\"open").is_err());
+        assert!(from_str::<String>("\"bad \\x\"").is_err());
+        assert!(from_str::<String>("\"cut \\u12").is_err());
+    }
+
+    #[test]
+    fn parsing_long_strings_is_linear() {
+        // Re-validating the rest of the input at every character made this
+        // quadratic: these 6 MB would not finish.
+        let long = "δx".repeat(1 << 20);
+        let text = to_string(&json!({ "k": [long.as_str(), long.as_str()] })).unwrap();
+        let back: Value = from_str(&text).unwrap();
+        assert_eq!(back["k"][1].as_str().unwrap().len(), long.len());
+    }
+
+    #[test]
+    fn a_repeated_key_keeps_its_place_and_takes_the_last_value() {
+        let v: Value = from_str("{\"a\": 1, \"b\": 2, \"a\": 3}").unwrap();
+        assert_eq!(to_string(&v).unwrap(), "{\"a\":3,\"b\":2}");
     }
 
     #[test]
