@@ -22,9 +22,10 @@
 //! of `all`.
 //!
 //! `--cache-dir DIR` activates the persistent (disk-backed) solver cache for
-//! the whole invocation: a second run pointed at the same directory replays
-//! the first run's verdicts from disk and prints identical tables. A summary
-//! of persistent-cache traffic is printed on exit. `sec85 --report-json
+//! the whole invocation: a second run pointed at the same directory reads
+//! the first run's verdicts from disk and reports the same paths and
+//! outcomes. A summary of persistent-cache traffic is printed on exit.
+//! `sec85 --report-json
 //! FILE` additionally dumps the sec85 experiment as deterministic JSON
 //! (timing zeroed) — the byte-comparison artifact CI uses to assert
 //! cold-vs-warm identity.
@@ -240,15 +241,13 @@ fn finish_cache() {
     cache::flush();
     let c = cache::counters();
     println!(
-        "persistent-cache: verdict hits={} misses={} stores={}, projection hits={} misses={} stores={}, cex hits={} stores={}",
+        "persistent-cache: verdict hits={} misses={} stores={}, projection hits={} misses={} stores={}",
         c.verdict_hits,
         c.verdict_misses,
         c.verdict_stores,
         c.projection_hits,
         c.projection_misses,
-        c.projection_stores,
-        c.cex_hits,
-        c.cex_stores
+        c.projection_stores
     );
     cache::deactivate();
 }

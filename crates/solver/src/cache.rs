@@ -2,7 +2,7 @@
 //!
 //! The in-process memo tables ([`crate::intern`], the content memos in
 //! [`crate::solve`]) make re-solving free *within* a run; this module makes it
-//! cheap *across* runs. It layers three pieces on top of the
+//! cheap *across* runs. It layers two pieces on top of the
 //! [`symnet_store::LogStore`] record log:
 //!
 //! 1. **In-memory index** — sharded maps from stable 128-bit fingerprints
@@ -14,15 +14,6 @@
 //!    owns the `LogStore` and drains the channel in batches. The solver hot
 //!    path never blocks on I/O, and [`flush`] provides a durability barrier
 //!    for process exit and tests.
-//! 3. **Counterexample cache** — KLEE-style: satisfying [`Model`]s keyed by
-//!    the *set* of conjunct fingerprints they satisfy. A query whose conjunct
-//!    set is a subset of a cached satisfying entry is satisfiable (the model
-//!    carries over); a query whose conjunct set is a superset of a cached
-//!    unsatisfiable entry is unsatisfiable. Since this suite's solver is
-//!    deliberately incomplete on the Unsat side, callers are expected to
-//!    *verify* Sat models before trusting them and to ignore
-//!    [`CexDecision::SubsetUnsat`] when soundness matters more than speed
-//!    (see [`crate::Solver::model_path_cached`]).
 //!
 //! ## Lifecycle and degradation
 //!
@@ -36,7 +27,6 @@
 //! Every failure mode therefore converges to "fewer warm hits", never to a
 //! wrong verdict.
 
-use crate::fingerprint;
 use crate::interval::IntervalSet;
 use crate::model::Model;
 use crate::solve::SolverResult;
@@ -52,9 +42,10 @@ use symnet_store::{LogStore, StoreError};
 
 /// Version of the on-disk record encoding. A log whose header carries a
 /// different version is wiped on open (the fingerprint scheme has its own
-/// version, [`fingerprint::FP_VERSION`], which invalidates by key mismatch
-/// instead).
-pub const FORMAT_VERSION: u32 = 1;
+/// version, [`crate::fingerprint::FP_VERSION`], which invalidates by key
+/// mismatch instead). Version 2 dropped the replayed cubes-examined count
+/// from every record, and the counterexample records.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// File name of the record log inside the cache directory.
 const LOG_NAME: &str = "solver-cache.log";
@@ -66,8 +57,8 @@ fn shard(key: u128) -> usize {
     (key as usize) % SHARDS
 }
 
-type VerdictMap = HashMap<u128, (SolverResult, u64)>;
-type ProjectionMap = HashMap<u128, (Option<IntervalSet>, u64)>;
+type VerdictMap = HashMap<u128, SolverResult>;
+type ProjectionMap = HashMap<u128, Option<IntervalSet>>;
 
 struct Maps {
     verdicts: Vec<Mutex<VerdictMap>>,
@@ -80,26 +71,6 @@ fn maps() -> &'static Maps {
         verdicts: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
         projections: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
     })
-}
-
-/// One counterexample-cache entry: the sorted set of conjunct fingerprints it
-/// decides, the verdict, and (for Sat) the witness assignment.
-struct CexEntry {
-    atoms: Vec<u128>,
-    sat: bool,
-    model: Vec<(u64, u64)>,
-}
-
-#[derive(Default)]
-struct CexEntries {
-    /// Exact-set index: `combine(DOMAIN_CEX, atoms)` → entry position.
-    exact: HashMap<u128, usize>,
-    entries: Vec<CexEntry>,
-}
-
-fn cex() -> &'static Mutex<CexEntries> {
-    static CEX: OnceLock<Mutex<CexEntries>> = OnceLock::new();
-    CEX.get_or_init(|| Mutex::new(CexEntries::default()))
 }
 
 enum FlushMsg {
@@ -122,8 +93,6 @@ static VERDICT_STORES: AtomicU64 = AtomicU64::new(0);
 static PROJECTION_HITS: AtomicU64 = AtomicU64::new(0);
 static PROJECTION_MISSES: AtomicU64 = AtomicU64::new(0);
 static PROJECTION_STORES: AtomicU64 = AtomicU64::new(0);
-static CEX_HITS: AtomicU64 = AtomicU64::new(0);
-static CEX_STORES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-lifetime counters of the persistent cache (all queries by all
 /// solvers since the last [`reset_counters`]).
@@ -141,10 +110,6 @@ pub struct CacheCounters {
     pub projection_misses: u64,
     /// Projections written to the store.
     pub projection_stores: u64,
-    /// Queries decided by a cached counterexample/witness.
-    pub cex_hits: u64,
-    /// Counterexample entries recorded.
-    pub cex_stores: u64,
 }
 
 /// Snapshot of the global cache counters.
@@ -156,8 +121,6 @@ pub fn counters() -> CacheCounters {
         projection_hits: PROJECTION_HITS.load(Ordering::Relaxed),
         projection_misses: PROJECTION_MISSES.load(Ordering::Relaxed),
         projection_stores: PROJECTION_STORES.load(Ordering::Relaxed),
-        cex_hits: CEX_HITS.load(Ordering::Relaxed),
-        cex_stores: CEX_STORES.load(Ordering::Relaxed),
     }
 }
 
@@ -169,8 +132,6 @@ pub fn reset_counters() {
     PROJECTION_HITS.store(0, Ordering::Relaxed);
     PROJECTION_MISSES.store(0, Ordering::Relaxed);
     PROJECTION_STORES.store(0, Ordering::Relaxed);
-    CEX_HITS.store(0, Ordering::Relaxed);
-    CEX_STORES.store(0, Ordering::Relaxed);
 }
 
 /// True when a disk-backed cache is configured and accepting queries.
@@ -190,22 +151,15 @@ enum CacheRecord {
         key_lo: u64,
         /// 0 = Unsat, 1 = Unknown, 2 = Sat (with `model`).
         verdict: u8,
-        examined: u64,
         model: Vec<(u64, u64)>,
     },
     Projection {
         key_hi: u64,
         key_lo: u64,
-        examined: u64,
         /// False when the projection itself was unanswerable (e.g. a cube
         /// budget overflow on the prefix) — a cachable "no answer".
         known: bool,
         ranges: Vec<(i128, i128)>,
-    },
-    Cex {
-        atoms: Vec<(u64, u64)>,
-        sat: bool,
-        model: Vec<(u64, u64)>,
     },
 }
 
@@ -233,7 +187,7 @@ fn pairs_to_model(pairs: &[(u64, u64)]) -> Model {
     pairs.iter().map(|&(id, v)| (VarId(id), v)).collect()
 }
 
-fn verdict_to_record(key: u128, result: &SolverResult, examined: u64) -> CacheRecord {
+fn verdict_to_record(key: u128, result: &SolverResult) -> CacheRecord {
     let (key_hi, key_lo) = split_key(key);
     let (verdict, model) = match result {
         SolverResult::Unsat => (0u8, Vec::new()),
@@ -244,7 +198,6 @@ fn verdict_to_record(key: u128, result: &SolverResult, examined: u64) -> CacheRe
         key_hi,
         key_lo,
         verdict,
-        examined,
         model,
     }
 }
@@ -266,7 +219,6 @@ fn load_record(record: CacheRecord) {
             key_hi,
             key_lo,
             verdict,
-            examined,
             model,
         } => {
             if let Some(result) = record_to_verdict(verdict, &model) {
@@ -274,13 +226,12 @@ fn load_record(record: CacheRecord) {
                 let mut guard = maps().verdicts[shard(key)]
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
-                guard.entry(key).or_insert((result, examined));
+                guard.entry(key).or_insert(result);
             }
         }
         CacheRecord::Projection {
             key_hi,
             key_lo,
-            examined,
             known,
             ranges,
         } => {
@@ -289,11 +240,7 @@ fn load_record(record: CacheRecord) {
             let mut guard = maps().projections[shard(key)]
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            guard.entry(key).or_insert((set, examined));
-        }
-        CacheRecord::Cex { atoms, sat, model } => {
-            let atoms: Vec<u128> = atoms.iter().map(|&(hi, lo)| join_key(hi, lo)).collect();
-            insert_cex(atoms, sat, model);
+            guard.entry(key).or_insert(set);
         }
     }
 }
@@ -393,9 +340,6 @@ pub fn deactivate() {
     for shard in &maps.projections {
         shard.lock().unwrap_or_else(PoisonError::into_inner).clear();
     }
-    let mut guard = cex().lock().unwrap_or_else(PoisonError::into_inner);
-    guard.exact.clear();
-    guard.entries.clear();
 }
 
 /// Blocks until every record enqueued so far is on disk. No-op when the
@@ -423,7 +367,7 @@ fn send_record(record: &CacheRecord) {
 }
 
 /// Looks up a persisted verdict. Counts a hit or miss.
-pub(crate) fn lookup_verdict(key: u128) -> Option<(SolverResult, u64)> {
+pub(crate) fn lookup_verdict(key: u128) -> Option<SolverResult> {
     if !active() {
         return None;
     }
@@ -444,7 +388,7 @@ pub(crate) fn lookup_verdict(key: u128) -> Option<(SolverResult, u64)> {
 
 /// Persists a verdict (idempotent: a key already present is left untouched,
 /// so racing workers never duplicate disk records for the maps they share).
-pub(crate) fn store_verdict(key: u128, result: &SolverResult, examined: u64) {
+pub(crate) fn store_verdict(key: u128, result: &SolverResult) {
     if !active() {
         return;
     }
@@ -455,14 +399,14 @@ pub(crate) fn store_verdict(key: u128, result: &SolverResult, examined: u64) {
         if guard.contains_key(&key) {
             return;
         }
-        guard.insert(key, (result.clone(), examined));
+        guard.insert(key, result.clone());
     }
     VERDICT_STORES.fetch_add(1, Ordering::Relaxed);
-    send_record(&verdict_to_record(key, result, examined));
+    send_record(&verdict_to_record(key, result));
 }
 
 /// Looks up a persisted projection. Counts a hit or miss.
-pub(crate) fn lookup_projection(key: u128) -> Option<(Option<IntervalSet>, u64)> {
+pub(crate) fn lookup_projection(key: u128) -> Option<Option<IntervalSet>> {
     if !active() {
         return None;
     }
@@ -482,7 +426,7 @@ pub(crate) fn lookup_projection(key: u128) -> Option<(Option<IntervalSet>, u64)>
 }
 
 /// Persists a projection result (idempotent, like [`store_verdict`]).
-pub(crate) fn store_projection(key: u128, set: &Option<IntervalSet>, examined: u64) {
+pub(crate) fn store_projection(key: u128, set: &Option<IntervalSet>) {
     if !active() {
         return;
     }
@@ -493,133 +437,19 @@ pub(crate) fn store_projection(key: u128, set: &Option<IntervalSet>, examined: u
         if guard.contains_key(&key) {
             return;
         }
-        guard.insert(key, (set.clone(), examined));
+        guard.insert(key, set.clone());
     }
     PROJECTION_STORES.fetch_add(1, Ordering::Relaxed);
     let (key_hi, key_lo) = split_key(key);
     send_record(&CacheRecord::Projection {
         key_hi,
         key_lo,
-        examined,
         known: set.is_some(),
         ranges: set
             .as_ref()
             .map(|s| s.as_slice().to_vec())
             .unwrap_or_default(),
     });
-}
-
-/// How the counterexample cache can decide a query over a conjunct set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CexDecision {
-    /// An entry for exactly this conjunct set.
-    Exact {
-        /// The cached verdict.
-        sat: bool,
-        /// The cached witness (empty unless `sat`).
-        model: Model,
-    },
-    /// A satisfying model cached for a *superset* of these conjuncts: it
-    /// satisfies every conjunct of the query too. Callers should still verify
-    /// the model before reporting Sat.
-    SupersetSat {
-        /// The carried-over witness.
-        model: Model,
-    },
-    /// A *subset* of these conjuncts is already unsatisfiable, so adding more
-    /// conjuncts cannot help. Only sound if the cached Unsat was sound —
-    /// callers using an incomplete solver should treat this as advisory.
-    SubsetUnsat,
-}
-
-fn sorted_atoms(atoms: &[u128]) -> Vec<u128> {
-    let mut sorted = atoms.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    sorted
-}
-
-/// True when sorted `sup` contains every element of sorted `sub`.
-fn contains_all(sup: &[u128], sub: &[u128]) -> bool {
-    let mut it = sup.iter();
-    sub.iter()
-        .all(|needle| it.by_ref().any(|have| have == needle))
-}
-
-/// Consults the counterexample cache for a query over `atoms` (conjunct
-/// fingerprints, order-insensitive). Exact entries win; otherwise the first
-/// superset-Sat entry, then the first subset-Unsat entry.
-pub fn cex_decide(atoms: &[u128]) -> Option<CexDecision> {
-    if !active() {
-        return None;
-    }
-    let sorted = sorted_atoms(atoms);
-    let key = fingerprint::combine(fingerprint::DOMAIN_CEX, &sorted);
-    let guard = cex().lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(&index) = guard.exact.get(&key) {
-        let entry = &guard.entries[index];
-        return Some(CexDecision::Exact {
-            sat: entry.sat,
-            model: pairs_to_model(&entry.model),
-        });
-    }
-    for entry in &guard.entries {
-        if entry.sat && contains_all(&entry.atoms, &sorted) {
-            return Some(CexDecision::SupersetSat {
-                model: pairs_to_model(&entry.model),
-            });
-        }
-    }
-    for entry in &guard.entries {
-        if !entry.sat && contains_all(&sorted, &entry.atoms) {
-            return Some(CexDecision::SubsetUnsat);
-        }
-    }
-    None
-}
-
-fn insert_cex(sorted: Vec<u128>, sat: bool, model: Vec<(u64, u64)>) -> bool {
-    let key = fingerprint::combine(fingerprint::DOMAIN_CEX, &sorted);
-    let mut guard = cex().lock().unwrap_or_else(PoisonError::into_inner);
-    if guard.exact.contains_key(&key) {
-        return false;
-    }
-    let index = guard.entries.len();
-    guard.entries.push(CexEntry {
-        atoms: sorted,
-        sat,
-        model,
-    });
-    guard.exact.insert(key, index);
-    true
-}
-
-/// Records a decided query in the counterexample cache (and on disk).
-pub fn cex_store(atoms: &[u128], sat: bool, model: &Model) {
-    if !active() {
-        return;
-    }
-    let sorted = sorted_atoms(atoms);
-    let pairs = if sat {
-        model_to_pairs(model)
-    } else {
-        Vec::new()
-    };
-    if !insert_cex(sorted.clone(), sat, pairs.clone()) {
-        return;
-    }
-    CEX_STORES.fetch_add(1, Ordering::Relaxed);
-    send_record(&CacheRecord::Cex {
-        atoms: sorted.iter().map(|&a| split_key(a)).collect(),
-        sat,
-        model: pairs,
-    });
-}
-
-/// Counts one query decided by the counterexample cache (called by the solver
-/// after it has *verified* the carried-over model).
-pub(crate) fn record_cex_hit() {
-    CEX_HITS.fetch_add(1, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -651,20 +481,14 @@ mod tests {
             CacheRecord::Header {
                 version: FORMAT_VERSION,
             },
-            verdict_to_record(0xDEAD_BEEF, &SolverResult::Sat(model.clone()), 4),
-            verdict_to_record(1, &SolverResult::Unsat, 0),
-            verdict_to_record(2, &SolverResult::Unknown, 0),
+            verdict_to_record(0xDEAD_BEEF, &SolverResult::Sat(model)),
+            verdict_to_record(1, &SolverResult::Unsat),
+            verdict_to_record(2, &SolverResult::Unknown),
             CacheRecord::Projection {
                 key_hi: 1,
                 key_lo: 2,
-                examined: 3,
                 known: true,
                 ranges: vec![(0, 5), (10, 20)],
-            },
-            CacheRecord::Cex {
-                atoms: vec![(0, 1), (2, 3)],
-                sat: true,
-                model: model_to_pairs(&model),
             },
         ];
         for record in &records {
@@ -683,9 +507,9 @@ mod tests {
         let dir = temp_dir("verdict-cycle");
         assert!(configure(&dir).unwrap());
         let model: Model = [(VarId(1), 5u64)].into_iter().collect();
-        store_verdict(42, &SolverResult::Sat(model.clone()), 7);
-        store_verdict(43, &SolverResult::Unsat, 2);
-        assert_eq!(lookup_verdict(42), Some((SolverResult::Sat(model), 7)));
+        store_verdict(42, &SolverResult::Sat(model.clone()));
+        store_verdict(43, &SolverResult::Unsat);
+        assert_eq!(lookup_verdict(42), Some(SolverResult::Sat(model)));
         flush();
         deactivate();
         assert!(
@@ -694,7 +518,7 @@ mod tests {
         );
         // Re-open warm from disk.
         assert!(configure(&dir).unwrap());
-        assert_eq!(lookup_verdict(43), Some((SolverResult::Unsat, 2)));
+        assert_eq!(lookup_verdict(43), Some(SolverResult::Unsat));
         deactivate();
     }
 
@@ -704,51 +528,13 @@ mod tests {
         let dir = temp_dir("projection");
         assert!(configure(&dir).unwrap());
         let set = IntervalSet::from_ranges([(0, 9), (20, 29)]);
-        store_projection(7, &Some(set.clone()), 11);
-        store_projection(8, &None, 0);
+        store_projection(7, &Some(set.clone()));
+        store_projection(8, &None);
         flush();
         deactivate();
         assert!(configure(&dir).unwrap());
-        assert_eq!(lookup_projection(7), Some((Some(set), 11)));
-        assert_eq!(lookup_projection(8), Some((None, 0)));
-        deactivate();
-    }
-
-    #[test]
-    fn cex_subset_superset_logic() {
-        let _gate = lock();
-        let dir = temp_dir("cex");
-        assert!(configure(&dir).unwrap());
-        let model: Model = [(VarId(2), 1u64)].into_iter().collect();
-        // A model satisfying {a, b, c}.
-        cex_store(&[10, 20, 30], true, &model);
-        // An unsatisfiable pair {d, e}.
-        cex_store(&[40, 50], false, &Model::new());
-        // Exact hit.
-        match cex_decide(&[30, 10, 20]) {
-            Some(CexDecision::Exact {
-                sat: true,
-                model: m,
-            }) => assert_eq!(m, model),
-            other => panic!("expected exact sat, got {other:?}"),
-        }
-        // Subset of the satisfying set → the model carries over.
-        match cex_decide(&[10, 30]) {
-            Some(CexDecision::SupersetSat { model: m }) => assert_eq!(m, model),
-            other => panic!("expected superset-sat, got {other:?}"),
-        }
-        // Superset of the unsat set → advisory unsat.
-        assert_eq!(cex_decide(&[40, 50, 60]), Some(CexDecision::SubsetUnsat));
-        // Unrelated set → no decision.
-        assert!(cex_decide(&[70]).is_none());
-        // Entries survive a reopen.
-        flush();
-        deactivate();
-        assert!(configure(&dir).unwrap());
-        assert!(matches!(
-            cex_decide(&[10, 20, 30]),
-            Some(CexDecision::Exact { sat: true, .. })
-        ));
+        assert_eq!(lookup_projection(7), Some(Some(set)));
+        assert_eq!(lookup_projection(8), Some(None));
         deactivate();
     }
 
@@ -764,7 +550,7 @@ mod tests {
             })
             .unwrap();
             store.append(&header).unwrap();
-            let bogus = encode(&verdict_to_record(99, &SolverResult::Unsat, 0)).unwrap();
+            let bogus = encode(&verdict_to_record(99, &SolverResult::Unsat)).unwrap();
             store.append(&bogus).unwrap();
             store.sync().unwrap();
         }
@@ -782,7 +568,7 @@ mod tests {
         let holder = LogStore::open(&dir.join(LOG_NAME)).unwrap();
         assert!(!configure(&dir).unwrap(), "busy store must not activate");
         assert!(!active());
-        store_verdict(7, &SolverResult::Unsat, 0);
+        store_verdict(7, &SolverResult::Unsat);
         assert!(lookup_verdict(7).is_none(), "inactive cache stores nothing");
         drop(holder);
         assert!(configure(&dir).unwrap());

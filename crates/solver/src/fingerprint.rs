@@ -68,8 +68,6 @@ pub const DOMAIN_ASSUMING: u64 = 4;
 /// Domain tag: `feasible_values_path` projections (path condition plus the
 /// projected variable).
 pub const DOMAIN_PROJECTION: u64 = 5;
-/// Domain tag: counterexample-cache entries (sets of conjunct fingerprints).
-pub const DOMAIN_CEX: u64 = 6;
 
 // Seeds and multipliers of the two streams: the 64-bit FNV offset basis /
 // prime for stream A, an odd golden-ratio constant for stream B.

@@ -10,11 +10,10 @@
 //! folds in the new conjunct `c` (see [`crate::Solver::check_path`]).
 //!
 //! The cached analysis lives *on the node*, guarded by a mutex that is held
-//! while the analysis is computed. Two workers racing for the same prefix
-//! therefore never duplicate work, and — just as importantly — the hit/miss
-//! statistics are a function of the explored paths alone, never of worker
-//! scheduling, which keeps execution reports byte-identical across thread
-//! counts.
+//! while the analysis is computed, so two workers racing for the same prefix
+//! never duplicate work. Nodes have no identity of their own: everything
+//! keyed on a prefix uses its content id (in-process) or its fingerprint
+//! (across processes), both functions of the conjunct sequence alone.
 
 use crate::cube::{Cube, CubeOverflow};
 use crate::fingerprint;
@@ -23,12 +22,7 @@ use crate::intern::{self, Interned};
 use crate::solve::SolverResult;
 use serde::{Content, Deserialize, Deserializer, Error, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Process-wide allocator of node identities (used only as cache keys in
-/// per-worker memo tables; the values never influence solver answers).
-static NEXT_NODE_ID: AtomicU64 = AtomicU64::new(1);
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The solver analysis cached on one prefix node.
 #[derive(Debug, Default)]
@@ -44,7 +38,6 @@ pub(crate) struct NodeCache {
 /// One node of a persistent path condition: the conjunct added at this point
 /// plus the shared prefix it extends.
 pub struct PathNode {
-    id: u64,
     formula: Interned<Formula>,
     content: u64,
     /// Stable structural fingerprint of the whole prefix ending here — the
@@ -54,14 +47,16 @@ pub struct PathNode {
     fp: u128,
     parent: PathCond,
     len: usize,
-    pub(crate) cache: Mutex<NodeCache>,
+    cache: Mutex<NodeCache>,
 }
 
 impl PathNode {
-    /// The node's process-unique identity (stable for the node's lifetime;
-    /// used as a memo key).
-    pub fn id(&self) -> u64 {
-        self.id
+    /// Locks the analysis cached on this node. A poisoned lock is taken over
+    /// rather than propagated: each field is assigned whole, after its
+    /// computation, so whatever a worker that panicked under the lock left
+    /// behind is either empty or the complete answer for this prefix.
+    pub(crate) fn lock_cache(&self) -> MutexGuard<'_, NodeCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The conjunct added at this node.
@@ -101,7 +96,6 @@ impl PathNode {
 impl fmt::Debug for PathNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PathNode")
-            .field("id", &self.id)
             .field("formula", &self.formula)
             .field("len", &self.len)
             .finish_non_exhaustive()
@@ -151,7 +145,6 @@ impl PathCond {
             &[self.fingerprint(), conjunct_fp],
         );
         PathCond(Some(Arc::new(PathNode {
-            id: NEXT_NODE_ID.fetch_add(1, Ordering::Relaxed),
             formula,
             content,
             fp,
@@ -219,9 +212,9 @@ impl PathCond {
     ///
     /// Nodes are immutable, so a node that is *only* reachable from dropped
     /// states dies with them anyway; the explicit clear covers stale nodes
-    /// kept alive by lingering result snapshots. Per-worker solver memos keyed
-    /// on node ids are not affected — the service never reuses a `Solver`
-    /// across a delta, which this hook's contract documents.
+    /// kept alive by lingering result snapshots. The process-wide content
+    /// memos need no clearing: they are keyed on the conjunct sequence, and
+    /// the re-explored paths push the *new* program's conjuncts.
     pub fn invalidate_deeper_than(&self, keep_len: usize) -> usize {
         let mut cleared = 0;
         let mut cur = self.0.as_deref();
@@ -230,10 +223,7 @@ impl PathCond {
                 break;
             }
             {
-                let mut cache = node
-                    .cache
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut cache = node.lock_cache();
                 if cache.cubes.is_some() || cache.result.is_some() {
                     cleared += 1;
                 }
@@ -432,18 +422,18 @@ mod tests {
         // Simulate a solver having cached an analysis on every node.
         let mut cur = deep.node().map(|n| n.as_ref());
         while let Some(node) = cur {
-            node.cache.lock().unwrap().result = Some(SolverResult::Unsat);
+            node.lock_cache().result = Some(SolverResult::Unsat);
             cur = node.parent().node().map(|n| n.as_ref());
         }
         // Keeping the one-conjunct prefix clears the two deeper nodes only.
         assert_eq!(deep.invalidate_deeper_than(1), 2);
-        assert!(base.node().unwrap().cache.lock().unwrap().result.is_some());
-        assert!(deep.node().unwrap().cache.lock().unwrap().result.is_none());
+        assert!(base.node().unwrap().lock_cache().result.is_some());
+        assert!(deep.node().unwrap().lock_cache().result.is_none());
         // A second sweep finds nothing left to clear.
         assert_eq!(deep.invalidate_deeper_than(1), 0);
         // Clearing everything reaches the base node too.
         assert_eq!(deep.invalidate_deeper_than(0), 1);
-        assert!(base.node().unwrap().cache.lock().unwrap().result.is_none());
+        assert!(base.node().unwrap().lock_cache().result.is_none());
     }
 
     #[test]

@@ -1,9 +1,16 @@
 //! Solver instrumentation.
 //!
 //! §8.1 of the paper reports that "more than 90% of time is spent in Z3" and
-//! measures the number of solver calls per experiment; [`SolverStats`] records
-//! the equivalent counters for this solver so the benchmark harness can report
-//! the same breakdown.
+//! measures the number of solver calls per experiment. [`SolverStats`] keeps
+//! those two numbers, the outcome counts, and a set of *measurements* of this
+//! solver's own cache layers.
+//!
+//! The split is the report contract. What serialises (`calls`, `sat`,
+//! `unsat`, `unknown`, `time_in_solver`) is a function of the queries asked
+//! and nothing else, so it is the same for every thread count and every
+//! warm/cold cache state. Everything `#[serde(skip)]`ed says how the answers
+//! were obtained — which layer answered, how much work was left to do — and
+//! legitimately differs between a cold and a warm run of the same queries.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -19,57 +26,38 @@ pub struct SolverStats {
     pub unsat: u64,
     /// Queries answered `Unknown` (cube budget exceeded).
     pub unknown: u64,
-    /// Total number of cubes examined.
+    /// Cubes the decision procedure actually examined (a measurement: a
+    /// query answered by a memo or the disk store examines none).
+    #[serde(skip)]
     pub cubes_examined: u64,
-    /// Prefix-cache hits: queries (or sub-steps of queries) answered from the
-    /// analysis cached on a shared [`crate::PathCond`] node — either a whole
-    /// cached verdict or the cached cube normalisation of the prefix that only
-    /// the newest conjunct was folded into. Deterministic across thread
-    /// counts: the cache lives on the shared node, not on the worker.
+    /// Prefix-cache hits (a measurement): a verdict or a cube normalisation
+    /// read from the analysis cached on a shared [`crate::PathCond`] node.
+    #[serde(skip)]
     pub prefix_hits: u64,
-    /// Prefix-cache misses: path-condition nodes whose analysis had to be
-    /// computed (each node is analysed at most once, process-wide).
+    /// Prefix-cache misses (a measurement): path-condition nodes whose cube
+    /// normalisation had to be computed.
+    #[serde(skip)]
     pub prefix_misses: u64,
-    /// Per-worker memo-cache hits (formula→result and projection memos).
-    /// Excluded from serialized reports: which worker answers a query — and
-    /// therefore which per-worker memo it hits — is scheduling-dependent.
-    #[serde(skip)]
-    pub memo_hits: u64,
-    /// Per-worker memo-cache misses (excluded from serialized reports, see
-    /// [`SolverStats::memo_hits`]).
-    #[serde(skip)]
-    pub memo_misses: u64,
-    /// Process-wide content-memo hits: path queries answered from the global
-    /// memo keyed on interned content ids (see [`crate::intern`]), which is
-    /// what a re-injected scenario hits instead of re-solving. Excluded from
-    /// serialized reports: warm-vs-cold memo state must not change report
-    /// bytes (hits replay the counter pattern of a real computation).
+    /// Content-memo hits (a measurement): path queries answered from the
+    /// process-wide memos keyed on interned content ids (see
+    /// [`crate::intern`]), which is what a sibling extension or a re-injected
+    /// scenario hits instead of re-solving.
     #[serde(skip)]
     pub content_hits: u64,
-    /// Process-wide content-memo misses (excluded from serialized reports,
-    /// see [`SolverStats::content_hits`]).
+    /// Content-memo misses (a measurement).
     #[serde(skip)]
     pub content_misses: u64,
-    /// Persistent-cache hits: queries answered by replaying a verdict or
-    /// projection from the disk-backed store (see [`crate::cache`]). Excluded
-    /// from serialized reports: warm-vs-cold disk state must not change
-    /// report bytes (hits replay the exact counters of a real computation).
+    /// Persistent-cache hits (a measurement): verdicts or projections read
+    /// from the disk-backed store (see [`crate::cache`]).
     #[serde(skip)]
     pub persisted_hits: u64,
-    /// Persistent-cache misses: consultable queries the store could not
-    /// answer (excluded from serialized reports, see
-    /// [`SolverStats::persisted_hits`]).
+    /// Persistent-cache misses (a measurement): lookups the store could not
+    /// answer.
     #[serde(skip)]
     pub persisted_misses: u64,
-    /// Verdicts/projections written to the persistent store (excluded from
-    /// serialized reports, see [`SolverStats::persisted_hits`]).
+    /// Verdicts/projections written to the persistent store (a measurement).
     #[serde(skip)]
     pub persisted_stores: u64,
-    /// Counterexample-cache hits: witness requests satisfied by a cached
-    /// (and re-verified) model or exact cached `Unsat` (excluded from
-    /// serialized reports, see [`SolverStats::persisted_hits`]).
-    #[serde(skip)]
-    pub cex_hits: u64,
     /// Cumulative wall-clock time spent inside the solver.
     #[serde(with = "duration_micros")]
     pub time_in_solver: Duration,
@@ -90,14 +78,11 @@ impl SolverStats {
         self.cubes_examined += other.cubes_examined;
         self.prefix_hits += other.prefix_hits;
         self.prefix_misses += other.prefix_misses;
-        self.memo_hits += other.memo_hits;
-        self.memo_misses += other.memo_misses;
         self.content_hits += other.content_hits;
         self.content_misses += other.content_misses;
         self.persisted_hits += other.persisted_hits;
         self.persisted_misses += other.persisted_misses;
         self.persisted_stores += other.persisted_stores;
-        self.cex_hits += other.cex_hits;
         self.time_in_solver += other.time_in_solver;
     }
 }
@@ -129,14 +114,11 @@ mod tests {
             cubes_examined: 5,
             prefix_hits: 4,
             prefix_misses: 2,
-            memo_hits: 1,
-            memo_misses: 3,
             content_hits: 2,
             content_misses: 1,
             persisted_hits: 3,
             persisted_misses: 2,
             persisted_stores: 2,
-            cex_hits: 1,
             time_in_solver: Duration::from_millis(10),
         };
         let b = SolverStats {
@@ -147,14 +129,11 @@ mod tests {
             cubes_examined: 7,
             prefix_hits: 1,
             prefix_misses: 1,
-            memo_hits: 2,
-            memo_misses: 1,
             content_hits: 1,
             content_misses: 4,
             persisted_hits: 1,
             persisted_misses: 1,
             persisted_stores: 1,
-            cex_hits: 2,
             time_in_solver: Duration::from_millis(5),
         };
         a.merge(&b);
@@ -165,14 +144,11 @@ mod tests {
         assert_eq!(a.cubes_examined, 12);
         assert_eq!(a.prefix_hits, 5);
         assert_eq!(a.prefix_misses, 3);
-        assert_eq!(a.memo_hits, 3);
-        assert_eq!(a.memo_misses, 4);
         assert_eq!(a.content_hits, 3);
         assert_eq!(a.content_misses, 5);
         assert_eq!(a.persisted_hits, 4);
         assert_eq!(a.persisted_misses, 3);
         assert_eq!(a.persisted_stores, 3);
-        assert_eq!(a.cex_hits, 3);
         assert_eq!(a.time_in_solver, Duration::from_millis(15));
         a.reset();
         assert_eq!(a, SolverStats::default());

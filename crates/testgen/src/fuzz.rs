@@ -35,7 +35,7 @@ use symnet_models::router::{router_egress_with_ttl, Fib};
 use symnet_sefl::fields::ip_ttl;
 use symnet_sefl::packet::symbolic_l3_tcp_packet;
 use symnet_sefl::{Condition, ElementProgram, Expr, Instruction};
-use symnet_solver::Solver;
+use symnet_solver::{Solver, SolverResult};
 
 use crate::generators::{FuzzScenario, GeneratorConfig, GeneratorKind};
 use crate::replay::{concretize_exec_state, replay_network};
@@ -388,10 +388,7 @@ pub fn check_scenario(scenario: &FuzzScenario) -> Result<usize, String> {
         let PathStatus::Delivered { element, port } = path.status else {
             continue;
         };
-        // Cex-aware witness lookup: with a persistent cache active, a cached
-        // (re-verified) model for this conjunct set — or a superset of it —
-        // skips the solve entirely; without one this is a plain `check_path`.
-        let Some(model) = solver.model_path_cached(path.state.path_cond()) else {
+        let SolverResult::Sat(model) = solver.check_path(path.state.path_cond()) else {
             return Err(format!(
                 "path {} of {} was delivered at {element}#{port} but its path condition is unsatisfiable",
                 path.id, scenario.name

@@ -43,8 +43,9 @@ fn canonical(
 /// Asserts byte-identical reports at 1, 2 and 8 workers, then re-runs the
 /// 1-worker baseline once more: by then the process-wide content-keyed
 /// solver memos are warm, so the re-run answers from the interner layer and
-/// must still serialize byte-identically (the memo-hit counter-replay
-/// invariant — see DESIGN.md "Interning & memory layout").
+/// must still serialize byte-identically: a report pins what was asked and
+/// answered, never which cache layer answered (the report contract — see
+/// DESIGN.md "Determinism invariants").
 fn assert_thread_invariant(
     name: &str,
     net: &Network,

@@ -73,8 +73,9 @@ fn reinjection_into_a_fresh_symnet_is_answered_from_the_content_memo() {
         second.solver_stats
     );
 
-    // Warm-memo runs must not change a single report byte (the memo-skipping
-    // counters are excluded from serialization; everything else replays).
+    // Warm-memo runs must not change a single report byte: which layer
+    // answered a query is a measurement, excluded from serialization, and
+    // everything a report does serialise is a function of the queries asked.
     assert_eq!(
         first_paper, second_paper,
         "paper JSON changed on re-injection"

@@ -157,10 +157,13 @@ fn department_scenario_hits_the_prefix_cache() {
     use symnet_suite::sefl::packet::symbolic_tcp_packet;
     use symnet_suite::sefl::Instruction;
 
+    // Sizes no other test in this binary uses: the prefix counters measure
+    // work the content memos did not already hold, and a sibling test that
+    // explored the same network first would leave none.
     let (net, topo) = department(DepartmentConfig {
         access_switches: 4,
-        mac_entries: 200,
-        routes: 20,
+        mac_entries: 210,
+        routes: 21,
     });
     let engine = SymNet::with_config(
         net,

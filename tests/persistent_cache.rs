@@ -254,6 +254,66 @@ fn stale_solver_config_fingerprint_never_matches() {
 }
 
 #[test]
+fn format_v1_log_with_cex_records_is_wiped_and_runs_cold() {
+    let _gate = gate();
+    let dir = temp_dir("format-v1");
+    let ops = fixed_ops();
+
+    // A log exactly as format version 1 wrote it: verdicts and projections
+    // carry a replayed `examined` count, and counterexample records exist.
+    let v1_records = [
+        r#"{"Header":{"version":1}}"#,
+        r#"{"Verdict":{"key_hi":10136256223109630741,"key_lo":7519394403605326041,"verdict":2,"examined":1,"model":[[5,1]]}}"#,
+        r#"{"Projection":{"key_hi":2572223750679497822,"key_lo":9739315749922201771,"examined":1,"known":true,"ranges":[[0,4294967295]]}}"#,
+        r#"{"Cex":{"atoms":[[9286472827821205871,16488617705120008706]],"sat":true,"model":[[5,1],[8,167772160]]}}"#,
+    ];
+    {
+        let mut store = LogStore::open(&log_path(&dir)).unwrap();
+        for record in v1_records {
+            store.append(record.as_bytes()).unwrap();
+        }
+        store.sync().unwrap();
+    }
+
+    // Opening wipes it; the run is cold, stores afresh, and agrees with a
+    // from-scratch solver.
+    cache::reset_counters();
+    reset_process_memos();
+    assert!(cache::configure(&dir).unwrap());
+    let mut solver = Solver::default();
+    let got = run_chain(&mut solver, &ops);
+    cache::flush();
+    cache::deactivate();
+    assert_eq!(got, scratch_chain(&ops));
+    let c = cache::counters();
+    assert_eq!(
+        c.verdict_hits + c.projection_hits,
+        0,
+        "a wiped log answers nothing: {c:?}"
+    );
+    assert!(c.verdict_stores > 0 && c.projection_stores > 0, "{c:?}");
+
+    // What is on disk now is a current-format log with none of the old
+    // records in it — and it is warm.
+    let records = LogStore::open(&log_path(&dir)).unwrap().take_records();
+    let header = format!(r#"{{"Header":{{"version":{}}}}}"#, cache::FORMAT_VERSION);
+    assert_eq!(records[0], header.as_bytes());
+    for record in &records[1..] {
+        let text = std::str::from_utf8(record).unwrap();
+        assert!(
+            !text.contains("Cex") && !text.contains("examined"),
+            "a v1 record survived the wipe: {text}"
+        );
+    }
+    cache::reset_counters();
+    assert_eq!(rerun_warm(&dir, &ops), scratch_chain(&ops));
+    let c = cache::counters();
+    assert!(c.verdict_hits > 0 && c.projection_hits > 0, "{c:?}");
+    assert_eq!(c.verdict_misses + c.projection_misses, 0, "{c:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn store_locked_by_live_process_degrades_to_cold() {
     let _gate = gate();
     let dir = temp_dir("locked");
@@ -358,7 +418,7 @@ fn warm_disk_reports_are_byte_identical_across_worker_counts() {
 
     // Warm-disk runs: memos cleared, every verdict replayed from the log.
     // Still byte-identical, and — the headline acceptance criterion — with
-    // zero persisted verdict misses.
+    // zero persisted verdict or projection misses.
     reset_process_memos();
     assert!(cache::configure(&dir).unwrap());
     cache::reset_counters();
@@ -372,8 +432,13 @@ fn warm_disk_reports_are_byte_identical_across_worker_counts() {
     }
     let c = cache::counters();
     assert!(c.verdict_hits > 0, "warm runs never hit the store: {c:?}");
+    assert!(
+        c.projection_hits > 0,
+        "warm runs never hit a projection: {c:?}"
+    );
     assert_eq!(
-        c.verdict_misses, 0,
+        c.verdict_misses + c.projection_misses,
+        0,
         "a warm-disk re-run of an identical scenario must miss nothing: {c:?}"
     );
     cache::deactivate();
