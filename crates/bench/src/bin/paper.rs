@@ -156,7 +156,7 @@ fn main() {
     }
     if want("table2") {
         let total = if full { 188_500 } else { 20_000 };
-        println!("{}", table2(total, total / 50, total / 2).render());
+        println!("{}", table2(total, total / 50).render());
     }
     if want("table3") {
         let (zones, prefixes) = if full { (14, 10_000) } else { (8, 1_000) };

@@ -275,19 +275,15 @@ pub fn measure_router(model: &'static str, fib: &Fib, prefixes: usize) -> Router
 
 /// Table 2 as a printable report: `total` prefixes evaluated at 1%, 33% and
 /// 100%, with the basic model skipped above `basic_cutoff` prefixes (DNF in
-/// the paper) and the ingress model skipped above `ingress_cutoff`.
-pub fn table2(total: usize, basic_cutoff: usize, ingress_cutoff: usize) -> TableReport {
+/// the paper: it has one path per prefix by design). The ingress and egress
+/// models always run at full size.
+pub fn table2(total: usize, basic_cutoff: usize) -> TableReport {
     let fib = Fib::synthetic(total, 8);
     let fractions = [(total / 100).max(1), total / 3, total];
     let mut rows = Vec::new();
     for prefixes in fractions {
         for model in ["basic", "ingress", "egress"] {
-            let cutoff = match model {
-                "basic" => basic_cutoff,
-                "ingress" => ingress_cutoff,
-                _ => usize::MAX,
-            };
-            if prefixes > cutoff {
+            if model == "basic" && prefixes > basic_cutoff {
                 rows.push(Row {
                     cells: vec![prefixes.to_string(), model.into(), "-".into(), "DNF".into()],
                 });

@@ -15,14 +15,20 @@
 //! The second renders the Figure 8 basic-switch report and bounds the
 //! allocations of the report writer (see the test's doc comment).
 //!
+//! The third bounds the bytes a cold 20 000-prefix egress-router verification
+//! allocates, which is what a quadratic in single-variable normalisation
+//! shows up as first (see the test's doc comment).
+//!
 //! Without the feature the binary compiles to nothing; CI runs it as
 //! `cargo test -p symnet-bench --features count-allocs --test alloc_regression --release`.
 
 #![cfg(feature = "count-allocs")]
 
+use symnet_bench::measure_router;
 use symnet_core::engine::{ExecConfig, SymNet};
 use symnet_core::network::Network;
 use symnet_core::report::canonical_report_json_string;
+use symnet_models::router::Fib;
 use symnet_models::scenarios::{department, DepartmentConfig};
 use symnet_models::switch::{switch_basic, MacTable};
 use symnet_models::tcp_options::symbolic_options_metadata;
@@ -142,5 +148,39 @@ fn fig8_basic_440_render_stays_within_allocation_budget() {
         "rendering allocated {} times (budget {MAX_RENDER_ALLOCATIONS}); the writer must \
          allocate per distinct conjunct, not per occurrence",
         delta.allocations
+    );
+}
+
+/// Bytes allowed for one cold egress-router verification at 20 000 prefixes
+/// (~2× the bytes measured when the gate was introduced).
+const MAX_ROUTER_BYTES: u64 = 175_000_000; // measured 87 203 122
+
+/// A cold egress-router verification of the synthetic 20 000-prefix FIB. The
+/// default route's port condition is `/0 ∧ ¬p₁ ∧ … ∧ ¬pₙ` over every prefix
+/// that leaves by another port, and the solver normalises it into one
+/// interval set. When `cube::eval_single_var` folded `acc ∩ part` over the
+/// conjuncts, it copied a growing accumulator once per conjunct. That
+/// allocated 18 463 526 530 bytes (657 034 allocations, 1.48 s). The one-merge
+/// De Morgan form allocates 87 203 122 bytes (413 077 allocations, 0.05 s).
+/// Byte counts repeat exactly, so the gate trips on a reintroduced quadratic
+/// without depending on the box's speed. No other test in this binary builds
+/// a router, so the content memos are cold when it runs.
+#[test]
+fn egress_router_20k_stays_within_byte_budget() {
+    let _alone = measuring();
+    let fib = Fib::synthetic(20_000, 8);
+    let before = alloc_counter::snapshot();
+    let m = measure_router("egress", &fib, 20_000);
+    let delta = alloc_counter::snapshot().since(&before);
+    assert_eq!(m.paths, 8, "one delivered path per port in use");
+    eprintln!(
+        "egress router/20k: {} allocations, {} bytes allocated, {:?}",
+        delta.allocations, delta.bytes_allocated, m.runtime
+    );
+    assert!(
+        delta.bytes_allocated <= MAX_ROUTER_BYTES,
+        "cold egress router at 20k prefixes allocated {} bytes (budget {MAX_ROUTER_BYTES}); \
+         single-variable normalisation went quadratic again",
+        delta.bytes_allocated
     );
 }

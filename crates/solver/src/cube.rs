@@ -5,6 +5,14 @@
 //! evaluated exactly into an [`IntervalSet`] instead of being split into
 //! cases. A disjunction of 480,000 MAC equalities therefore becomes one
 //! [`Literal::Domain`] literal with 480,000 points, not 480,000 cubes.
+//!
+//! Complexity contract of [`eval_single_var`]: a single-variable `And` or
+//! `Or` of `n` parts takes **one** merge of its parts' ranges (one sort plus
+//! a linear sweep), never a fold that copies a growing accumulator per part.
+//! An `Or` unions its parts' ranges directly; an `And` unions its parts'
+//! complements and complements the result. Both are O(r log r) in the total
+//! range count `r`, so a router's default-route condition
+//! `/0 ∧ ¬p₁ ∧ … ∧ ¬pₙ` normalises in O(n log n), not O(n²).
 
 use crate::formula::{CmpOp, Formula};
 use crate::interval::IntervalSet;
@@ -371,9 +379,17 @@ pub fn eval_single_var(formula: &Formula, var: SymVar) -> IntervalSet {
         Formula::PrefixMatch {
             value, prefix_len, ..
         } => prefix_to_set(var, *value, *prefix_len),
-        Formula::And(parts) => parts
-            .iter()
-            .fold(full, |acc, p| acc.intersect(&eval_single_var(p, var))),
+        Formula::And(parts) => {
+            // De Morgan, ⋂ Sᵢ = ¬⋃ ¬Sᵢ: collect the ranges every conjunct
+            // excludes and merge them in one pass. A fold of intersections
+            // copies the accumulator per conjunct, which is quadratic on an
+            // LPM exclusion `/0 ∧ ¬p₁ ∧ … ∧ ¬pₙ`.
+            let mut excluded = Vec::with_capacity(parts.len());
+            for p in parts.iter() {
+                excluded.extend(eval_single_var(p, var).complement(lo, hi).iter_ranges());
+            }
+            IntervalSet::from_ranges(excluded).complement(lo, hi)
+        }
         Formula::Or(parts) => {
             // Collect the ranges of every disjunct and merge them in one pass:
             // an incremental fold of unions would be quadratic in the number of
@@ -525,6 +541,29 @@ mod tests {
         assert!(cubes[0].cross.is_empty());
         assert_eq!(cubes[0].domains.len(), 1);
         assert_eq!(cubes[0].domains[&x].cardinality(), 480_000);
+    }
+
+    #[test]
+    fn full_scale_lpm_exclusion_is_one_domain_literal() {
+        // The egress router's default-route shape at Table 2's full size:
+        // `/0 ∧ ¬p₁ ∧ … ∧ ¬p₁₈₈₅₀₀` over distinct, non-adjacent /24s (every
+        // other /24 from 10.0.0.0). The result keeps the n + 1 gaps between
+        // the excluded /24s, as one `Literal::Domain`, in one merge.
+        let ip = v(0, 32);
+        let n = 188_500u64;
+        let slash24 = |i: u64| 0x0a00_0000 + (i << 9);
+        let mut parts = vec![Formula::prefix_match(ip, 0, 0)];
+        parts.extend((0..n).map(|i| Formula::not(Formula::prefix_match(ip, slash24(i), 24))));
+        let f = Formula::and(parts);
+        let cubes = to_cubes(&f, 4).unwrap();
+        assert_eq!(cubes.len(), 1);
+        assert!(cubes[0].cross.is_empty());
+        assert_eq!(cubes[0].domains.len(), 1);
+        let set = &cubes[0].domains[&ip];
+        assert_eq!(set.interval_count(), n as usize + 1);
+        assert_eq!(set.cardinality(), (1u128 << 32) - 256 * n as u128);
+        assert!(set.contains(slash24(1) as i128 - 1));
+        assert!(!set.contains(slash24(n - 1) as i128 + 255));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests for the solver's core data structures, the soundness
 //! of its satisfiability answers, and the agreement of the incremental
-//! prefix-cached procedure with from-scratch solving.
+//! prefix-cached procedure with from-scratch solving, plus an exhaustive
+//! oracle for the single-variable normalisation kernel.
 
 use proptest::prelude::*;
 use symnet_solver::{CmpOp, Formula, IntervalSet, PathCond, Solver, SolverConfig, SymVar, Term};
@@ -228,5 +229,126 @@ proptest! {
         });
         let mut solver = Solver::default();
         prop_assert_eq!(solver.check(&f).is_sat(), brute);
+    }
+}
+
+/// Random formula trees over the single 8-bit variable `x`, built from raw
+/// variants (so empty and one-part `And`/`Or`, same-variable cross
+/// comparisons and constant atoms all occur) under a node budget that keeps
+/// the exhaustive oracle cheap.
+struct SingleVarTree {
+    var: SymVar,
+    budget: usize,
+}
+
+impl SingleVarTree {
+    fn leaf(&self, rng: &mut TestRng) -> Formula {
+        let x = self.var;
+        let pick = |rng: &mut TestRng, n: u64| rng.next_u64() % n;
+        let op = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ][pick(rng, 6) as usize];
+        let offset = pick(rng, 9) as i128 - 4;
+        // Constants stray a little outside the 0..=255 domain on purpose.
+        let constant = pick(rng, 266) as i128 - 5;
+        match pick(rng, 8) {
+            0 => Formula::Cmp {
+                op,
+                lhs: Term::var(x).plus(offset),
+                rhs: Term::constant(constant),
+            },
+            1 => Formula::Cmp {
+                op,
+                lhs: Term::constant(constant),
+                rhs: Term::var(x).plus(offset),
+            },
+            2 => Formula::Cmp {
+                op,
+                lhs: Term::var(x).plus(offset),
+                rhs: Term::var(x),
+            },
+            3 => Formula::Cmp {
+                op,
+                lhs: Term::constant(constant),
+                rhs: Term::constant(pick(rng, 4) as i128),
+            },
+            4 => Formula::prefix_match(x, pick(rng, 256), pick(rng, 9) as u8),
+            // LPM exclusion shape: the negation of a narrow prefix.
+            5 => Formula::Not(std::sync::Arc::new(Formula::prefix_match(
+                x,
+                pick(rng, 256),
+                4 + pick(rng, 5) as u8,
+            ))),
+            6 => Formula::ne_const(x, pick(rng, 256)),
+            _ => [Formula::True, Formula::False][pick(rng, 2) as usize].clone(),
+        }
+    }
+
+    fn tree(&self, rng: &mut TestRng, budget: &mut usize) -> Formula {
+        if *budget == 0 || rng.next_u64().is_multiple_of(3) {
+            return self.leaf(rng);
+        }
+        *budget -= 1;
+        let kind = rng.next_u64() % 5;
+        if kind == 0 {
+            return Formula::Not(std::sync::Arc::new(self.tree(rng, budget)));
+        }
+        // Mostly narrow, sometimes wide (up to 64 parts), sometimes empty.
+        let arity = match rng.next_u64() % 4 {
+            0 => (rng.next_u64() % 65) as usize,
+            _ => (rng.next_u64() % 5) as usize,
+        };
+        let parts: Vec<Formula> = (0..arity).map(|_| self.tree(rng, budget)).collect();
+        let parts = std::sync::Arc::new(parts);
+        if kind <= 2 {
+            Formula::And(parts)
+        } else {
+            Formula::Or(parts)
+        }
+    }
+}
+
+impl Strategy for SingleVarTree {
+    type Value = Formula;
+
+    fn generate(&self, rng: &mut TestRng) -> Formula {
+        let mut budget = self.budget;
+        self.tree(rng, &mut budget)
+    }
+}
+
+proptest! {
+    /// Oracle for the single-variable kernel: `eval_single_var` and
+    /// `to_cubes` must denote exactly the points at which `Formula::eval`
+    /// holds, checked exhaustively over all 256 values of an 8-bit variable.
+    #[test]
+    fn single_var_kernel_agrees_with_pointwise_eval(
+        f in SingleVarTree { var: SymVar::new(0, 8), budget: 160 },
+    ) {
+        let x = SymVar::new(0, 8);
+        let truth = IntervalSet::from_ranges((0u64..256).filter_map(|v| {
+            let holds = f.eval(&|_| Some(v)).expect("x is the only variable");
+            holds.then_some((v as i128, v as i128))
+        }));
+        let set = symnet_solver::cube::eval_single_var(&f, x);
+        prop_assert_eq!(&set, &truth);
+
+        let cubes = symnet_solver::cube::to_cubes(&f, 4).expect("one variable never overflows");
+        if truth.is_empty() {
+            prop_assert!(cubes.is_empty());
+        } else {
+            prop_assert_eq!(cubes.len(), 1);
+            prop_assert!(cubes[0].cross.is_empty());
+            match cubes[0].domains.get(&x) {
+                Some(domain) => prop_assert_eq!(domain, &truth),
+                // No literal at all: only a variable-free tautology.
+                None => prop_assert_eq!(truth.cardinality(), 256),
+            }
+        }
     }
 }

@@ -17,9 +17,11 @@
 //!    same element/port with the same tracked header fields.
 //!
 //! Any divergence produces a [`FuzzFailure`] carrying the case seed (rerunning
-//! [`run_case`] with it reproduces the failure exactly) and a greedily
-//! minimized mutation list. The [`canary_scenario`] plants a real off-by-one in
-//! a TTL-decrement model to prove the oracle catches genuine model bugs.
+//! [`run_case`] with it reproduces the failure exactly), the campaign seed and
+//! case index when it came from [`run_fuzz`] (see [`campaign_case`]), and a
+//! greedily minimized mutation list. The [`canary_scenario`] plants a real
+//! off-by-one in a TTL-decrement model to prove the oracle catches genuine
+//! model bugs.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -114,6 +116,10 @@ pub struct FuzzFailure {
     /// The case seed: `run_case(kind, case_seed, &config)` reproduces the
     /// failure deterministically.
     pub case_seed: u64,
+    /// `(campaign seed, case index)` when the case ran inside [`run_fuzz`]:
+    /// [`campaign_case`] maps it back to `(kind, case_seed)`. `None` for a
+    /// case run on its own.
+    pub campaign: Option<(u64, usize)>,
     /// Every mutation the failing case applied, rendered for the report.
     pub mutations: Vec<String>,
     /// The greedily minimized subset of mutations that still fails (empty if
@@ -139,11 +145,22 @@ impl fmt::Display for FuzzFailure {
         for m in &self.minimized {
             writeln!(f, "    {m}")?;
         }
-        write!(
-            f,
-            "  reproduce with: paper -- fuzz --seed {:#x} --iters 1 (or run_case with the case seed)",
-            self.case_seed
-        )
+        match self.campaign {
+            // The campaign's last case is the failing one.
+            Some((seed, index)) => write!(
+                f,
+                "  reproduce with: paper -- fuzz --seed {seed:#x} --iters {} \
+                 (case {index}, {} family, case seed {:#x})",
+                index + 1,
+                self.generator,
+                self.case_seed
+            ),
+            None => write!(
+                f,
+                "  reproduce with: the {} scenario at case seed {:#x}",
+                self.generator, self.case_seed
+            ),
+        }
     }
 }
 
@@ -185,6 +202,15 @@ fn splitmix64(seed: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Case `index` of a campaign seeded with `seed`: the generator family (the
+/// campaign rotates over [`GeneratorKind::ALL`]) and the case seed it hands to
+/// [`run_case`]. A campaign run with `iters = index + 1` ends on this case.
+pub fn campaign_case(seed: u64, index: usize) -> (GeneratorKind, u64) {
+    let kind = GeneratorKind::ALL[index % GeneratorKind::ALL.len()];
+    let case_seed = splitmix64(seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    (kind, case_seed)
 }
 
 /// Draws a seeded mutation batch against a pristine scenario. Purely a
@@ -388,11 +414,22 @@ pub fn check_scenario(scenario: &FuzzScenario) -> Result<usize, String> {
         let PathStatus::Delivered { element, port } = path.status else {
             continue;
         };
-        let SolverResult::Sat(model) = solver.check_path(path.state.path_cond()) else {
-            return Err(format!(
-                "path {} of {} was delivered at {element}#{port} but its path condition is unsatisfiable",
-                path.id, scenario.name
-            ));
+        let model = match solver.check_path(path.state.path_cond()) {
+            SolverResult::Sat(model) => model,
+            SolverResult::Unsat => {
+                return Err(format!(
+                    "path {} of {} was delivered at {element}#{port} but its path condition \
+                     is unsatisfiable",
+                    path.id, scenario.name
+                ))
+            }
+            SolverResult::Unknown => {
+                return Err(format!(
+                    "path {} of {} was delivered at {element}#{port} but the solver returned \
+                     Unknown on its path condition: its feasibility was never established",
+                    path.id, scenario.name
+                ))
+            }
         };
         let expected = concretize_state(&path.state, &model).map_err(|e| {
             format!(
@@ -503,6 +540,7 @@ pub fn run_case(kind: GeneratorKind, case_seed: u64, config: &FuzzConfig) -> Cas
                 failure: Some(FuzzFailure {
                     generator: kind.name(),
                     case_seed,
+                    campaign: None,
                     mutations: mutations.iter().map(|m| m.to_string()).collect(),
                     minimized: minimized.iter().map(|m| m.to_string()).collect(),
                     detail,
@@ -517,15 +555,17 @@ pub fn run_case(kind: GeneratorKind, case_seed: u64, config: &FuzzConfig) -> Cas
 pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
     let mut report = FuzzReport::default();
     for i in 0..config.iters {
-        let kind = GeneratorKind::ALL[i % GeneratorKind::ALL.len()];
-        let case_seed = splitmix64(config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let (kind, case_seed) = campaign_case(config.seed, i);
         let result = run_case(kind, case_seed, config);
         report.cases += 1;
         report.paths_checked += result.paths_checked;
         report.mutations_applied += result.mutations_applied;
         *report.per_generator.entry(kind.name()).or_insert(0) += 1;
         if let Some(failure) = result.failure {
-            report.failures.push(failure);
+            report.failures.push(FuzzFailure {
+                campaign: Some((config.seed, i)),
+                ..failure
+            });
         }
     }
     report
@@ -594,6 +634,7 @@ pub fn run_canary() -> Result<FuzzFailure, String> {
         Err(detail) => Ok(FuzzFailure {
             generator: "canary",
             case_seed: 0,
+            campaign: None,
             mutations: Vec::new(),
             minimized: Vec::new(),
             detail,
@@ -615,6 +656,47 @@ mod tests {
         let items = vec![1, 2, 3, 4, 5, 6];
         let minimal = minimize(&items, |subset| subset.contains(&2) && subset.contains(&5));
         assert_eq!(minimal, vec![2, 5]);
+    }
+
+    /// The `--seed`/`--iters` pair a campaign failure prints must, fed back
+    /// into a campaign config, end on the very `(kind, case_seed)` that failed.
+    #[test]
+    fn printed_reproduce_command_regenerates_the_failing_case() {
+        for (seed, index) in [(0xC0FFEE, 22usize), (0x5EF1_D1FF, 0), (7, 49)] {
+            let (kind, case_seed) = campaign_case(seed, index);
+            let failure = FuzzFailure {
+                generator: kind.name(),
+                case_seed,
+                campaign: Some((seed, index)),
+                mutations: Vec::new(),
+                minimized: Vec::new(),
+                detail: "planted".to_string(),
+            };
+            let rendered = failure.to_string();
+            let line = rendered
+                .lines()
+                .find(|l| l.contains("reproduce with: paper -- fuzz"))
+                .unwrap_or_else(|| panic!("no reproduce command in {rendered}"));
+            assert!(line.contains(kind.name()), "family missing: {line}");
+            let arg = |flag: &str| {
+                let mut words = line.split_whitespace();
+                words.find(|w| *w == flag);
+                words
+                    .next()
+                    .unwrap_or_else(|| panic!("{flag} missing: {line}"))
+            };
+            let config = FuzzConfig {
+                seed: u64::from_str_radix(arg("--seed").trim_start_matches("0x"), 16).unwrap(),
+                iters: arg("--iters").parse().unwrap(),
+                ..FuzzConfig::default()
+            };
+            let (last_kind, last_seed) = campaign_case(config.seed, config.iters - 1);
+            assert_eq!(
+                (last_kind.name(), last_seed),
+                (kind.name(), case_seed),
+                "{line}"
+            );
+        }
     }
 
     #[test]
