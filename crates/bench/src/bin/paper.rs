@@ -37,6 +37,22 @@ use symnet_bench::{
 use symnet_solver::cache;
 use symnet_testgen::fuzz::{run_canary, run_fuzz, FuzzConfig};
 
+/// Every experiment name `paper` accepts.
+const EXPERIMENTS: &[&str] = &[
+    "table1", "fig8", "table2", "table3", "table4", "table5", "sec83", "sec84", "sec85", "serve",
+    "fuzz", "all",
+];
+
+/// Rejects a misspelt argument instead of silently running nothing.
+fn usage_error(what: &str) -> ! {
+    eprintln!(
+        "{what}; experiments: {}; options: --full --cache-dir DIR --report-json FILE \
+         --clients N --seed S --iters N",
+        EXPERIMENTS.join(" ")
+    );
+    std::process::exit(2);
+}
+
 fn parse_u64(value: &str) -> Option<u64> {
     match value.strip_prefix("0x") {
         Some(hex) => u64::from_str_radix(hex, 16).ok(),
@@ -113,8 +129,12 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-        } else if !arg.starts_with("--") {
+        } else if arg.starts_with("--") {
+            usage_error(&format!("unknown option {arg}"));
+        } else if EXPERIMENTS.contains(&arg.as_str()) {
             selected.push(arg.as_str());
+        } else {
+            usage_error(&format!("unknown experiment {arg}"));
         }
     }
 
@@ -210,9 +230,8 @@ fn main() {
         }
     }
     if full {
-        // The interning tables back every memo layer; their eviction counters
-        // tell whether the paper-scale working set actually fit (evicted == 0)
-        // or the memos were silently thrashed.
+        // The formula interner's eviction counters tell whether the
+        // paper-scale working set actually fit (evicted == 0).
         print_eviction_stats();
     }
     finish_cache();
@@ -223,13 +242,8 @@ fn main() {
 fn print_eviction_stats() {
     let ev = symnet_solver::eviction_stats();
     println!(
-        "interner evictions: formulas {}/{} (evicted/sweeps), intervals {}/{}, content {}/{}",
-        ev.formulas.evicted,
-        ev.formulas.sweeps,
-        ev.intervals.evicted,
-        ev.intervals.sweeps,
-        ev.content.evicted,
-        ev.content.sweeps
+        "interner evictions: formulas {}/{} (evicted/sweeps)",
+        ev.evicted, ev.sweeps
     );
 }
 
@@ -289,7 +303,7 @@ fn fuzz_campaign(seed: Option<u64>, iters: Option<usize>) -> i32 {
         report.failures.len()
     );
     // Campaigns churn through thousands of interned formulas; surface whether
-    // the interning tables had to evict (and thereby thrash the memo layers).
+    // the interner had to evict.
     print_eviction_stats();
     if report.is_clean() {
         println!("fuzz: every symbolic path agreed with its concrete replay");

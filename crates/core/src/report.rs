@@ -29,7 +29,7 @@ use crate::state::{ExecState, TraceEntry};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use symnet_sefl::fields::{self, HeaderField};
-use symnet_solver::{Formula, PathNode};
+use symnet_solver::{Formula, Interned, PathNode};
 
 /// Renders a full execution report as pretty-printed JSON text: the paths,
 /// their counts, the solver counters and the wall time.
@@ -281,16 +281,18 @@ struct Conjunct<'a> {
 ///
 /// Distinct means structurally distinct, which is what `Formula::and`
 /// deduplicates on; the printed text would not do, because it leaves out
-/// variable widths. Equal interned ids imply equal structure, so the id is
-/// the fast key; the structural map behind it catches equal formulas under
-/// two ids (the interner never reuses an id after evicting an entry).
+/// variable widths. A node's interned formula is the fast key of its shape:
+/// it hashes by fingerprint and compares by pointer, then by structure, so
+/// the same formula interned twice (before and after an interner eviction)
+/// still shares one entry. The structural map behind it deduplicates the
+/// literals, which also occur as the parts of `And` conjuncts.
 #[derive(Default)]
 struct Conjuncts<'a> {
     /// The JSON string literals, back to back.
     text: String,
     all: Vec<Conjunct<'a>>,
     by_structure: HashMap<&'a Formula, usize>,
-    by_id: HashMap<u64, Shape>,
+    by_node: HashMap<&'a Interned<Formula>, Shape>,
     children: Vec<usize>,
 }
 
@@ -311,8 +313,8 @@ impl<'a> Conjuncts<'a> {
     }
 
     fn shape_of(&mut self, node: &'a PathNode, scratch: &mut String) -> Shape {
-        let id = node.interned_formula().id();
-        if let Some(&shape) = self.by_id.get(&id) {
+        let interned = node.interned_formula();
+        if let Some(&shape) = self.by_node.get(interned) {
             return shape;
         }
         let shape = match node.formula() {
@@ -328,7 +330,7 @@ impl<'a> Conjuncts<'a> {
             }
             other => Shape::One(self.index_of(other, scratch)),
         };
-        self.by_id.insert(id, shape);
+        self.by_node.insert(interned, shape);
         shape
     }
 

@@ -1,14 +1,12 @@
-//! Stable structural fingerprints of solver values.
+//! Stable structural fingerprints: the one identity of solver content.
 //!
-//! The interning layer ([`crate::intern`]) hands out process-local ids: fast,
-//! compact, and meaningless outside the process that allocated them. The
-//! persistent cache ([`crate::cache`]) needs the opposite — a key that names
-//! the *content* of a formula, path condition, or interval set the same way in
-//! every run, forever. This module computes that key: a canonical recursive
-//! 128-bit hash over the value's structure, with every variant, operator, and
-//! field length tagged so that distinct shapes can never collide by
-//! concatenation ambiguity (`And[a, b]` vs `And[ab]`, `Cmp` vs `PrefixMatch`,
-//! and so on).
+//! Every cache in the solver names a formula or a path-condition prefix by
+//! the key this module computes: the interner buckets formulas by it
+//! ([`crate::intern`]), the in-process content memos and the persistent store
+//! ([`crate::cache`]) are keyed on it. It is a canonical recursive 128-bit
+//! hash over the value's structure, with every variant, operator, and field
+//! length tagged so that distinct shapes can never collide by concatenation
+//! ambiguity (`And[a, b]` vs `And[ab]`, `Cmp` vs `PrefixMatch`, and so on).
 //!
 //! # Stability argument
 //!
@@ -16,34 +14,37 @@
 //!
 //! * fixed integer tags chosen in this file (one per enum variant / domain),
 //! * the literal field values of the hashed structure (`VarId` numbers,
-//!   widths, constants, interval endpoints), written in a fixed order, and
+//!   widths, constants), written in a fixed order, and
 //! * [`FP_VERSION`], bumped whenever the traversal or the tag assignment
 //!   changes.
 //!
-//! Nothing process-local — interner ids, `Arc` addresses, hash-map iteration
-//! order — ever enters the stream (`Cube::domains` is a `BTreeMap`, so its
-//! iteration order is value-determined). Two processes that build structurally
-//! equal values therefore compute bit-identical fingerprints, which is what
-//! lets a verdict stored by yesterday's run answer today's query. Keys that
-//! must also depend on solver behaviour mix in [`config_fp`], so changing any
-//! verdict-affecting `SolverConfig` knob silently invalidates every stored
-//! entry (old keys simply stop matching).
+//! Nothing process-local — `Arc` addresses, hash-map iteration order — ever
+//! enters the stream. Two processes that build structurally equal values
+//! therefore compute bit-identical fingerprints, which is what lets a verdict
+//! stored by yesterday's run answer today's query, and what lets a memo entry
+//! answer a chain rebuilt on fresh nodes. Keys that must also depend on solver
+//! behaviour mix in [`config_fp`], so changing any verdict-affecting
+//! `SolverConfig` knob silently invalidates every cached entry (old keys
+//! simply stop matching).
+//!
+//! # Collisions
 //!
 //! Fingerprints are 128 bits from two independently seeded 64-bit streams:
-//! with ~2^64 distinct values stored a collision has probability ~2^-64 —
-//! negligible against the store sizes this suite produces (millions of
-//! records).
+//! with ~2^64 distinct values keyed a collision has probability ~2^-64 —
+//! negligible against the table and store sizes this suite produces (millions
+//! of entries). Memo and store answers rest on this argument alone; the
+//! interner and `PathCond` equality do not, they compare structure whenever
+//! fingerprints agree.
 //!
-//! The expensive traversal runs once per interned node:
-//! [`Interned::fingerprint_or`](crate::intern::Interned::fingerprint_or)
-//! caches the result next to the process-local id, and
+//! The traversal runs once per interned formula
+//! ([`Interned::fingerprint`](crate::intern::Interned::fingerprint) reads the
+//! value stored on the canonical entry), and
 //! [`PathCond`](crate::path::PathCond) chains node fingerprints incrementally
 //! (`fp(P ∧ c) = combine(NODE, fp(P), fp(c))`), so extending a path costs one
 //! constant-time mix, not a re-walk of the prefix.
 
-use crate::cube::{Cube, Literal};
 use crate::formula::{CmpOp, Formula};
-use crate::interval::IntervalSet;
+use crate::solve::SolverConfig;
 use crate::term::{SymVar, Term};
 
 /// Version of the fingerprint scheme. Mixed into [`config_fp`] (and therefore
@@ -206,15 +207,6 @@ fn write_formula(h: &mut FpHasher, formula: &Formula) {
     }
 }
 
-fn write_interval(h: &mut FpHasher, set: &IntervalSet) {
-    let ranges = set.as_slice();
-    h.write_u64(ranges.len() as u64);
-    for (lo, hi) in ranges {
-        h.write_i128(*lo);
-        h.write_i128(*hi);
-    }
-}
-
 /// Canonical recursive fingerprint of a formula. Stable across processes;
 /// child order is significant (the engine's constructors already canonicalise
 /// child order, so structurally equal formulas hash equal).
@@ -231,59 +223,18 @@ pub fn var_fp(var: SymVar) -> u128 {
     h.finish()
 }
 
-/// Fingerprint of a canonical interval set, over its sorted range slice.
-pub fn interval_fp(set: &IntervalSet) -> u128 {
-    let mut h = FpHasher::new(0x12);
-    write_interval(&mut h, set);
-    h.finish()
-}
-
-/// Fingerprint of a cube: its per-variable domains (in `BTreeMap` order, i.e.
-/// value order) followed by its cross-variable literals in insertion order.
-pub fn cube_fp(cube: &Cube) -> u128 {
-    let mut h = FpHasher::new(0x13);
-    h.write_u64(cube.domains.len() as u64);
-    for (var, set) in &cube.domains {
-        write_var(&mut h, *var);
-        write_interval(&mut h, set);
-    }
-    h.write_u64(cube.cross.len() as u64);
-    for literal in &cube.cross {
-        match literal {
-            Literal::Domain { var, set } => {
-                h.write_u64(1);
-                write_var(&mut h, *var);
-                write_interval(&mut h, set);
-            }
-            Literal::Cross { op, lhs, rhs } => {
-                h.write_u64(2);
-                h.write_u64(cmp_op_tag(*op));
-                write_var(&mut h, lhs.0);
-                h.write_i128(lhs.1);
-                write_var(&mut h, rhs.0);
-                h.write_i128(rhs.1);
-            }
-        }
-    }
-    h.finish()
-}
-
 /// Fingerprint of the verdict-affecting `SolverConfig` knobs plus
-/// [`FP_VERSION`]. Mixed into every persistent key, so a config change (or a
-/// fingerprint-scheme bump) invalidates stored entries by key mismatch rather
-/// than by any explicit migration.
-pub fn config_fp(
-    max_cubes: usize,
-    max_model_attempts: usize,
-    max_propagation_rounds: usize,
-    samples_per_var: usize,
-) -> u128 {
+/// [`FP_VERSION`]. Mixed into every cache key, so a config change (or a
+/// fingerprint-scheme bump) invalidates cached entries by key mismatch rather
+/// than by any explicit migration. `incremental` selects *how* answers are
+/// obtained, never *what* they are, and is left out.
+pub fn config_fp(config: &SolverConfig) -> u128 {
     let mut h = FpHasher::new(0x14);
     h.write_u64(FP_VERSION);
-    h.write_u64(max_cubes as u64);
-    h.write_u64(max_model_attempts as u64);
-    h.write_u64(max_propagation_rounds as u64);
-    h.write_u64(samples_per_var as u64);
+    h.write_u64(config.max_cubes as u64);
+    h.write_u64(config.max_model_attempts as u64);
+    h.write_u64(config.max_propagation_rounds as u64);
+    h.write_u64(config.samples_per_var as u64);
     h.finish()
 }
 
@@ -362,23 +313,36 @@ mod tests {
     }
 
     #[test]
-    fn interval_fingerprints_follow_canonical_ranges() {
-        let a = IntervalSet::from_ranges([(0, 5), (10, 20)]);
-        let b = IntervalSet::from_ranges([(10, 20), (0, 5)]);
-        // from_ranges normalises, so both sets are canonical and equal.
-        assert_eq!(interval_fp(&a), interval_fp(&b));
-        let c = IntervalSet::from_ranges([(0, 5), (10, 21)]);
-        assert_ne!(interval_fp(&a), interval_fp(&c));
-    }
-
-    #[test]
     fn config_fp_covers_every_knob() {
-        let base = config_fp(1 << 14, 4096, 64, 6);
-        assert_ne!(base, config_fp(1 << 13, 4096, 64, 6));
-        assert_ne!(base, config_fp(1 << 14, 4095, 64, 6));
-        assert_ne!(base, config_fp(1 << 14, 4096, 63, 6));
-        assert_ne!(base, config_fp(1 << 14, 4096, 64, 7));
-        assert_eq!(base, config_fp(1 << 14, 4096, 64, 6));
+        let d = SolverConfig::default();
+        let base = config_fp(&d);
+        for changed in [
+            SolverConfig {
+                max_cubes: d.max_cubes - 1,
+                ..d
+            },
+            SolverConfig {
+                max_model_attempts: d.max_model_attempts - 1,
+                ..d
+            },
+            SolverConfig {
+                max_propagation_rounds: d.max_propagation_rounds - 1,
+                ..d
+            },
+            SolverConfig {
+                samples_per_var: d.samples_per_var + 1,
+                ..d
+            },
+        ] {
+            assert_ne!(base, config_fp(&changed), "{changed:?}");
+        }
+        assert_eq!(
+            base,
+            config_fp(&SolverConfig {
+                incremental: false,
+                ..d
+            })
+        );
     }
 
     #[test]
@@ -401,14 +365,40 @@ mod tests {
         );
     }
 
+    /// Literal values of keys that cache directories written by earlier
+    /// builds hold. A change here that is not a deliberate [`FP_VERSION`]
+    /// bump orphans every stored record.
     #[test]
-    fn cube_fingerprints_cover_domains_and_cross_literals() {
-        let mut a = Cube::default();
-        a.restrict(v(1), IntervalSet::range(0, 9));
-        let mut b = Cube::default();
-        b.restrict(v(1), IntervalSet::range(0, 9));
-        assert_eq!(cube_fp(&a), cube_fp(&b));
-        b.add_cross(CmpOp::Lt, (v(1), 0), (v(2), 3));
-        assert_ne!(cube_fp(&a), cube_fp(&b));
+    fn fingerprints_are_pinned() {
+        use crate::path::PathCond;
+        use std::sync::Arc;
+        let cmp = Formula::cmp(CmpOp::Lt, Term::var(v(1)).plus(3), Term::var(v(2)));
+        let prefix = Formula::prefix_match(SymVar::new(7, 32), 0x0a00_0000, 8);
+        let nested = Formula::And(Arc::new(vec![
+            Formula::eq_const(v(1), 10),
+            Formula::Or(Arc::new(vec![
+                Formula::eq_const(v(2), 1),
+                Formula::cmp_const(CmpOp::Ge, v(3), 5),
+            ])),
+            Formula::Not(Arc::new(Formula::cmp(
+                CmpOp::Eq,
+                Term::var(v(1)),
+                Term::var(v(3)),
+            ))),
+        ]));
+        assert_eq!(formula_fp(&cmp), 0x71b4f73ee91de0082c2d4a832484e823);
+        assert_eq!(formula_fp(&prefix), 0xc4180d21c43f7fc6f6e693fb5e7e225c);
+        assert_eq!(formula_fp(&nested), 0xdc23ec3b6c271842d44466160e759870);
+        let config = config_fp(&SolverConfig::default());
+        assert_eq!(config, 0xcecc6817566f28f96964829644de8fe1);
+        let path: PathCond = [Formula::eq_const(v(1), 10), prefix, cmp]
+            .into_iter()
+            .collect();
+        assert_eq!(path.fingerprint(), 0x908c57e2a1f01bcdbb4777e244b5f506);
+        assert_eq!(
+            combine(DOMAIN_PATH, &[path.fingerprint(), config]),
+            0xee093e104e7ecf81513fb08b4a8a5365
+        );
+        assert_eq!(FP_VERSION, 1);
     }
 }

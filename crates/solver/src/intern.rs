@@ -1,76 +1,57 @@
-//! Hash-consed interning of solver terms.
+//! Hash-consed interning of formulas.
 //!
-//! The solver's incremental interface keys its memo tables on *what* a prefix
-//! says, not on *which node* says it. This module provides the identity layer
-//! that makes such keys sound and cheap:
+//! Solver content has one identity: the 128-bit structural fingerprint of
+//! [`crate::fingerprint`]. This module is where a formula gets it:
 //!
-//! * [`Interned<T>`] — an `Arc`-shared, hash-consed value with a precomputed
-//!   structural hash and a process-unique `u64` id. Two `Interned` handles
-//!   obtained from the same interner are equal exactly when their values are
-//!   structurally equal, and the common case is decided by pointer comparison.
-//! * [`Interner<T>`] — a sharded, mutex-guarded hash-cons table. Process-wide
-//!   instances for [`Formula`] and [`IntervalSet`] are exposed through
-//!   [`formulas`], [`intervals`], [`intern_formula`] and [`canonical_interval`].
-//! * [`content_id`] — interning of `(parent content, conjunct)` pairs, giving
-//!   every distinct path-condition *content* a process-unique id. Two
-//!   [`PathCond`](crate::path::PathCond)s built independently from the same
-//!   conjunct sequence map to the same content id, which is what lets a
-//!   re-injected scenario hit the cross-run solve memos instead of re-solving
-//!   every prefix (see [`crate::Solver::check_path`]).
+//! * [`Interned<T>`] — an `Arc`-shared, hash-consed value carrying its
+//!   fingerprint. Two `Interned` handles are equal exactly when their values
+//!   are structurally equal; the common case is decided by pointer comparison,
+//!   and `Hash` writes the fingerprint.
+//! * [`Interner`] — a sharded, mutex-guarded hash-cons table of [`Formula`]s
+//!   bucketed by [`formula_fp`]. The process-wide instance is exposed through
+//!   [`formulas`] and [`intern_formula`].
+//!
+//! [`PathCond`](crate::path::PathCond) chains the fingerprints of its conjuncts
+//! into one fingerprint per prefix, and every cache layer above the prefix
+//! nodes — the in-process content memos and the on-disk store — is keyed on
+//! values combined from it (see [`crate::Solver`]). The fingerprint is
+//! computed once, when a formula is first interned.
 //!
 //! # Lifecycle and eviction
 //!
 //! Interners hold *strong* references to their canonical values: an interned
 //! formula stays resident after the last path referencing it dies, so the next
-//! injection of the same scenario re-derives identical ids and hits the memos.
-//! To bound memory, every shard runs a **second-chance sweep** once it reaches
-//! capacity: entries hit since the previous sweep keep their slot (their
-//! reference bit is cleared, arming them for the next round), one-shot entries
-//! are evicted. A working set that genuinely exceeds capacity degrades to the
-//! old clear-at-capacity behaviour — the sweep falls back to a full clear when
-//! it frees nothing — so memory stays bounded either way, but a hot working
-//! set (the memo-backing formulas of a long `--full`-scale chain) survives
-//! instead of being thrashed out by cold traffic. [`eviction_stats`] exposes
-//! the per-table eviction and sweep counters. Ids are never reused — after an
-//! eviction, re-interning a value yields a *fresh* id, so stale memo entries
-//! keyed on evicted ids can never be confused with new content; they simply
-//! stop matching and age out with their own table's eviction.
+//! injection of the same scenario shares the canonical allocations instead of
+//! re-interning. To bound memory, every shard runs a **second-chance sweep**
+//! once it reaches capacity: entries hit since the previous sweep keep their
+//! slot (their reference bit is cleared, arming them for the next round),
+//! one-shot entries are evicted. A working set that genuinely exceeds capacity
+//! degrades to the old clear-at-capacity behaviour — the sweep falls back to a
+//! full clear when it frees nothing — so memory stays bounded either way, but
+//! a hot working set survives instead of being thrashed out by cold traffic.
+//! [`eviction_stats`] exposes the eviction and sweep counters. Nothing is
+//! keyed on an allocation, so an evicted formula that returns under a new
+//! allocation has the same fingerprint and still hits every memo.
 //!
 //! `Arc` rather than `Rc` because interned values cross threads: the engine's
 //! work-stealing workers push and steal paths (whose nodes hold `Interned<
-//! Formula>`) freely, and the global memo tables are shared by every worker.
+//! Formula>`) freely.
+//!
+//! [`formula_fp`]: crate::fingerprint::formula_fp
 
+use crate::fingerprint::formula_fp;
 use crate::formula::Formula;
-use crate::interval::IntervalSet;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// Process-wide id allocator shared by every interner (formulas, interval
-/// sets, content pairs), so any two interned objects — of any type — have
-/// distinct ids. Starts at 1; 0 is reserved for [`EMPTY_CONTENT_ID`].
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Content id of the empty path condition (no conjuncts).
-pub const EMPTY_CONTENT_ID: u64 = 0;
 
 /// Number of independently locked shards per interner.
 const SHARD_COUNT: usize = 16;
 /// Distinct values a shard holds before it runs a second-chance sweep.
 const SHARD_CAP: usize = 8192;
-/// Distinct `(parent, formula)` pairs the content-id table holds before it
-/// runs a second-chance sweep.
-const CONTENT_CAP: usize = 1 << 17;
 
-/// Values evicted from the content-id table over the process lifetime.
-static CONTENT_EVICTED: AtomicU64 = AtomicU64::new(0);
-/// Second-chance sweeps run on the content-id table.
-static CONTENT_SWEEPS: AtomicU64 = AtomicU64::new(0);
-
-/// Lifetime eviction counters of one interning table.
+/// Lifetime eviction counters of an interner.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EvictionStats {
     /// Canonical values dropped by second-chance sweeps (including full-clear
@@ -80,75 +61,38 @@ pub struct EvictionStats {
     pub sweeps: u64,
 }
 
-/// Eviction counters of every process-wide interning table.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MemoEvictionStats {
-    /// The [`formulas`] interner.
-    pub formulas: EvictionStats,
-    /// The [`intervals`] interner.
-    pub intervals: EvictionStats,
-    /// The [`content_id`] table.
-    pub content: EvictionStats,
-}
-
-/// Snapshot of the eviction and sweep counters of the process-wide tables.
+/// Snapshot of the eviction and sweep counters of the process-wide
+/// [`formulas`] interner.
 ///
-/// `evicted == 0` after a long run means the hot working set (memo-backing
-/// formulas, content chains) fit in the tables and no memo layer was thrashed;
+/// `evicted == 0` after a long run means the hot working set fit in the table;
 /// a large count with few sweeps means mostly one-shot traffic aged out, which
 /// is the intended behaviour.
-pub fn eviction_stats() -> MemoEvictionStats {
-    MemoEvictionStats {
-        formulas: formulas().eviction_stats(),
-        intervals: intervals().eviction_stats(),
-        content: EvictionStats {
-            evicted: CONTENT_EVICTED.load(Ordering::Relaxed),
-            sweeps: CONTENT_SWEEPS.load(Ordering::Relaxed),
-        },
-    }
+pub fn eviction_stats() -> EvictionStats {
+    formulas().eviction_stats()
 }
 
 struct Entry<T> {
-    hash: u64,
-    id: u64,
-    /// Stable structural fingerprint (see [`crate::fingerprint`]), computed
-    /// lazily on first use and cached for the canonical allocation's lifetime
-    /// — every path node and persistent-cache key sharing this entry reuses
-    /// the one traversal.
-    fp: OnceLock<u128>,
+    /// Stable structural fingerprint of `value` (see [`crate::fingerprint`]).
+    fp: u128,
     value: T,
 }
 
-/// A hash-consed, `Arc`-shared value with precomputed hash and unique id.
+/// A hash-consed, `Arc`-shared value carrying its structural fingerprint.
 ///
 /// Obtained from an [`Interner`]; see the module docs for the equality and
 /// lifecycle guarantees.
 pub struct Interned<T>(Arc<Entry<T>>);
 
 impl<T> Interned<T> {
-    /// The process-unique id of this canonical value.
-    pub fn id(&self) -> u64 {
-        self.0.id
-    }
-
-    /// The precomputed structural hash of the value.
-    pub fn precomputed_hash(&self) -> u64 {
-        self.0.hash
-    }
-
     /// True when both handles point at the same canonical allocation.
     pub fn ptr_eq(a: &Interned<T>, b: &Interned<T>) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
     }
 
-    /// The stable structural fingerprint of this value, computing it with
-    /// `compute` on first call and caching it on the canonical allocation.
-    ///
-    /// `compute` must be a pure function of the value's structure (see
-    /// [`crate::fingerprint`]); every caller for a given `T` must pass the
-    /// same function, since whichever call arrives first wins the cache slot.
-    pub fn fingerprint_or(&self, compute: impl FnOnce(&T) -> u128) -> u128 {
-        *self.0.fp.get_or_init(|| compute(&self.0.value))
+    /// The stable structural fingerprint of this value: equal for equal
+    /// values, in every process.
+    pub fn fingerprint(&self) -> u128 {
+        self.0.fp
     }
 }
 
@@ -170,16 +114,15 @@ impl<T: PartialEq> PartialEq for Interned<T> {
         // Pointer equality decides the common case; the structural fallback
         // covers handles that straddle a shard eviction (same value interned
         // twice into distinct canonical allocations).
-        Interned::ptr_eq(self, other)
-            || (self.0.hash == other.0.hash && self.0.value == other.0.value)
+        Interned::ptr_eq(self, other) || (self.0.fp == other.0.fp && self.0.value == other.0.value)
     }
 }
 
 impl<T: Eq> Eq for Interned<T> {}
 
-impl<T: Hash> Hash for Interned<T> {
+impl<T> Hash for Interned<T> {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.0.hash);
+        state.write_u128(self.0.fp);
     }
 }
 
@@ -198,14 +141,16 @@ impl<T: std::fmt::Display> std::fmt::Display for Interned<T> {
 /// One resident canonical value plus its second-chance reference bit (set on
 /// every hit, cleared by a sweep — an entry survives a sweep iff it was hit
 /// since the previous one).
-struct Slot<T> {
-    handle: Interned<T>,
+struct Slot {
+    handle: Interned<Formula>,
     touched: bool,
 }
 
-struct Shard<T> {
-    /// Hash → canonical entries with that hash (almost always one).
-    entries: HashMap<u64, Vec<Slot<T>>>,
+#[derive(Default)]
+struct Shard {
+    /// Fingerprint → canonical entries with that fingerprint (one, barring a
+    /// 128-bit collision, which the structural comparison still separates).
+    entries: HashMap<u128, Vec<Slot>>,
     /// Total canonical values across all buckets.
     live: usize,
     /// Values evicted by sweeps over this shard's lifetime.
@@ -214,7 +159,7 @@ struct Shard<T> {
     sweeps: u64,
 }
 
-impl<T> Shard<T> {
+impl Shard {
     /// The second-chance eviction pass: keep entries whose reference bit is
     /// set (clearing it, so surviving another round requires another hit),
     /// evict the rest. When everything is hot — the working set genuinely
@@ -244,41 +189,26 @@ impl<T> Shard<T> {
     }
 }
 
-/// A sharded hash-cons table. See the module docs.
-pub struct Interner<T> {
-    shards: Vec<Mutex<Shard<T>>>,
+/// A sharded hash-cons table of formulas. See the module docs.
+pub struct Interner {
+    shards: Vec<Mutex<Shard>>,
 }
 
-fn structural_hash<T: Hash>(value: &T) -> u64 {
-    let mut h = DefaultHasher::new();
-    value.hash(&mut h);
-    h.finish()
-}
-
-impl<T: Hash + Eq> Interner<T> {
+impl Interner {
     /// Creates an empty interner.
     pub fn new() -> Self {
         Interner {
-            shards: (0..SHARD_COUNT)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        entries: HashMap::new(),
-                        live: 0,
-                        evicted: 0,
-                        sweeps: 0,
-                    })
-                })
-                .collect(),
+            shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect(),
         }
     }
 
     /// Returns the canonical [`Interned`] handle for `value`, creating it if
     /// this value has not been seen (since the last shard eviction).
-    pub fn intern(&self, value: T) -> Interned<T> {
-        let hash = structural_hash(&value);
-        let shard = &self.shards[(hash as usize) % SHARD_COUNT];
+    pub fn intern(&self, value: Formula) -> Interned<Formula> {
+        let fp = formula_fp(&value);
+        let shard = &self.shards[(fp as usize) % SHARD_COUNT];
         let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(bucket) = guard.entries.get_mut(&hash) {
+        if let Some(bucket) = guard.entries.get_mut(&fp) {
             if let Some(found) = bucket.iter_mut().find(|s| s.handle.0.value == value) {
                 // A hit sets the reference bit: this entry survives the next
                 // sweep.
@@ -289,15 +219,10 @@ impl<T: Hash + Eq> Interner<T> {
         if guard.live >= SHARD_CAP {
             guard.sweep();
         }
-        let interned = Interned(Arc::new(Entry {
-            hash,
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            fp: OnceLock::new(),
-            value,
-        }));
+        let interned = Interned(Arc::new(Entry { fp, value }));
         // New entries start cold: a value never hit again is evicted by the
         // next sweep, so one-shot traffic cannot thrash the hot working set.
-        guard.entries.entry(hash).or_default().push(Slot {
+        guard.entries.entry(fp).or_default().push(Slot {
             handle: interned.clone(),
             touched: false,
         });
@@ -330,22 +255,16 @@ impl<T: Hash + Eq> Interner<T> {
     }
 }
 
-impl<T: Hash + Eq> Default for Interner<T> {
+impl Default for Interner {
     fn default() -> Self {
         Interner::new()
     }
 }
 
 /// The process-wide [`Formula`] interner.
-pub fn formulas() -> &'static Interner<Formula> {
-    static FORMULAS: OnceLock<Interner<Formula>> = OnceLock::new();
+pub fn formulas() -> &'static Interner {
+    static FORMULAS: OnceLock<Interner> = OnceLock::new();
     FORMULAS.get_or_init(Interner::new)
-}
-
-/// The process-wide [`IntervalSet`] interner.
-pub fn intervals() -> &'static Interner<IntervalSet> {
-    static INTERVALS: OnceLock<Interner<IntervalSet>> = OnceLock::new();
-    INTERVALS.get_or_init(Interner::new)
 }
 
 /// Interns a formula in the process-wide table.
@@ -353,53 +272,11 @@ pub fn intern_formula(formula: Formula) -> Interned<Formula> {
     formulas().intern(formula)
 }
 
-/// Returns the canonical copy of an interval set, so structurally equal big
-/// sets share one `Arc`-backed allocation (making their equality O(1) and
-/// their clones reference bumps). Sets small enough to live inline (≤ 2
-/// ranges) are returned unchanged — interning them would only add lookup cost.
-pub fn canonical_interval(set: IntervalSet) -> IntervalSet {
-    if set.interval_count() <= 2 {
-        return set;
-    }
-    let interned = intervals().intern(set);
-    interned.deref().clone()
-}
-
-/// Interns the `(parent content, formula)` pair and returns the content id of
-/// the extended prefix. Pass [`EMPTY_CONTENT_ID`] as `parent` for the first
-/// conjunct; `formula` is the id of an [`Interned<Formula>`].
-pub fn content_id(parent: u64, formula: u64) -> u64 {
-    /// Content id plus the second-chance reference bit of one `(parent,
-    /// formula)` pair.
-    type ContentSlot = (u64, bool);
-    static CONTENT: OnceLock<Mutex<HashMap<(u64, u64), ContentSlot>>> = OnceLock::new();
-    let map = CONTENT.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut guard = map.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(slot) = guard.get_mut(&(parent, formula)) {
-        slot.1 = true;
-        return slot.0;
-    }
-    if guard.len() >= CONTENT_CAP {
-        // Same second-chance discipline as the shard sweep: keep pairs looked
-        // up since the previous sweep (clearing their bit), evict the rest,
-        // and fall back to a full clear when everything is hot.
-        let before = guard.len();
-        guard.retain(|_, slot| std::mem::replace(&mut slot.1, false));
-        if guard.len() >= CONTENT_CAP {
-            guard.clear();
-        }
-        CONTENT_EVICTED.fetch_add((before - guard.len()) as u64, Ordering::Relaxed);
-        CONTENT_SWEEPS.fetch_add(1, Ordering::Relaxed);
-    }
-    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    guard.insert((parent, formula), (id, false));
-    id
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::term::SymVar;
+    use std::collections::hash_map::DefaultHasher;
 
     fn v(id: u64) -> SymVar {
         SymVar::new(id, 16)
@@ -413,46 +290,18 @@ mod tests {
         let a = intern_formula(f.clone());
         let b = intern_formula(f.clone());
         assert!(Interned::ptr_eq(&a, &b));
-        assert_eq!(a.id(), b.id());
-        assert_eq!(a.precomputed_hash(), b.precomputed_hash());
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(a.fingerprint(), formula_fp(&f));
         assert_eq!(*a, f);
         let other = intern_formula(Formula::eq_const(v(70_001), 12_346));
         assert!(!Interned::ptr_eq(&a, &other));
-        assert_ne!(a.id(), other.id());
+        assert_ne!(a.fingerprint(), other.fingerprint());
         assert_ne!(a, other);
     }
 
     #[test]
-    fn content_ids_depend_only_on_content() {
-        let f1 = intern_formula(Formula::eq_const(v(70_002), 7));
-        let f2 = intern_formula(Formula::ne_const(v(70_003), 8));
-        let a = content_id(EMPTY_CONTENT_ID, f1.id());
-        let b = content_id(a, f2.id());
-        // Rebuilding the same chain reproduces the same ids.
-        assert_eq!(content_id(EMPTY_CONTENT_ID, f1.id()), a);
-        assert_eq!(content_id(a, f2.id()), b);
-        // Different chains get different ids.
-        assert_ne!(content_id(EMPTY_CONTENT_ID, f2.id()), a);
-        assert_ne!(a, EMPTY_CONTENT_ID);
-        assert_ne!(b, a);
-    }
-
-    #[test]
-    fn canonical_interval_shares_big_storage_and_skips_small() {
-        let big = IntervalSet::from_ranges((0..40i128).map(|i| (3 * i + 900_000, 3 * i + 900_000)));
-        let a = canonical_interval(big.clone());
-        let b = canonical_interval(big.clone());
-        assert!(a.ptr_eq(&b), "canonical big sets share one allocation");
-        assert_eq!(a, big);
-        let small = IntervalSet::range(0, 5);
-        let s = canonical_interval(small.clone());
-        assert_eq!(s, small);
-        assert!(!s.ptr_eq(&small), "small sets are inline, never Arc-backed");
-    }
-
-    #[test]
     fn hot_values_survive_sweeps_while_cold_traffic_is_evicted() {
-        let local: Interner<Formula> = Interner::new();
+        let local = Interner::new();
         let hot = Formula::eq_const(v(70_010), 42);
         let hot_handle = local.intern(hot.clone());
         // Enough distinct cold values to drive every shard past capacity
@@ -476,29 +325,25 @@ mod tests {
             local.len(),
             total
         );
-        // The hot value kept its slot — same canonical allocation, same id —
-        // so memo entries keyed on it never went stale.
+        // The hot value kept its slot: same canonical allocation.
         let again = local.intern(hot);
         assert!(Interned::ptr_eq(&hot_handle, &again));
-        assert_eq!(again.id(), hot_handle.id());
     }
 
     #[test]
     fn process_wide_eviction_stats_are_readable() {
         let stats = eviction_stats();
         // Counters are monotone and only move together: an eviction implies at
-        // least one sweep on that table.
-        assert!(stats.formulas.evicted == 0 || stats.formulas.sweeps > 0);
-        assert!(stats.intervals.evicted == 0 || stats.intervals.sweeps > 0);
-        assert!(stats.content.evicted == 0 || stats.content.sweeps > 0);
+        // least one sweep.
+        assert!(stats.evicted == 0 || stats.sweeps > 0);
     }
 
     #[test]
     fn interned_equality_survives_distinct_allocations() {
         // Simulate the post-eviction case: equal values behind different Arcs.
-        let local: Interner<Formula> = Interner::new();
+        let local = Interner::new();
         let a = local.intern(Formula::eq_const(v(70_004), 1));
-        let other: Interner<Formula> = Interner::new();
+        let other = Interner::new();
         let b = other.intern(Formula::eq_const(v(70_004), 1));
         assert!(!Interned::ptr_eq(&a, &b));
         assert_eq!(a, b);

@@ -65,7 +65,7 @@ pub mod term;
 
 pub use cache::CacheCounters;
 pub use formula::{CmpOp, Formula};
-pub use intern::{eviction_stats, EvictionStats, Interned, Interner, MemoEvictionStats};
+pub use intern::{eviction_stats, EvictionStats, Interned, Interner};
 pub use interval::IntervalSet;
 pub use model::Model;
 pub use path::{PathCond, PathNode};

@@ -12,8 +12,8 @@
 //! The cached analysis lives *on the node*, guarded by a mutex that is held
 //! while the analysis is computed, so two workers racing for the same prefix
 //! never duplicate work. Nodes have no identity of their own: everything
-//! keyed on a prefix uses its content id (in-process) or its fingerprint
-//! (across processes), both functions of the conjunct sequence alone.
+//! keyed on a prefix uses its fingerprint (see [`crate::fingerprint`]), a
+//! function of the conjunct sequence alone, equal in every process.
 
 use crate::cube::{Cube, CubeOverflow};
 use crate::fingerprint;
@@ -39,11 +39,10 @@ pub(crate) struct NodeCache {
 /// plus the shared prefix it extends.
 pub struct PathNode {
     formula: Interned<Formula>,
-    content: u64,
-    /// Stable structural fingerprint of the whole prefix ending here — the
-    /// cross-*process* analogue of `content`: equal conjunct sequences produce
-    /// equal fingerprints in every run (see [`crate::fingerprint`]), which is
-    /// what keys the persistent solver cache.
+    /// Stable structural fingerprint of the whole prefix ending here: equal
+    /// conjunct sequences produce equal fingerprints in every run (see
+    /// [`crate::fingerprint`]), which is what keys the solver's content memos
+    /// and its persistent cache.
     fp: u128,
     parent: PathCond,
     len: usize,
@@ -69,20 +68,10 @@ impl PathNode {
         &self.formula
     }
 
-    /// The content id of the whole prefix ending at this node: a
-    /// process-unique id of the conjunct *sequence*, independent of which
-    /// nodes carry it (see [`crate::intern::content_id`]). Two nodes with the
-    /// same content id are structurally equal prefixes, even across
-    /// independently built paths — this is the cross-run memo key.
-    pub fn content_id(&self) -> u64 {
-        self.content
-    }
-
     /// The stable structural fingerprint of the whole prefix ending at this
-    /// node. Like [`PathNode::content_id`] it identifies the conjunct
-    /// *sequence* independent of which nodes carry it, but unlike a content id
-    /// it is reproduced bit-identically by every process that builds the same
-    /// sequence — this is the persistent-cache key.
+    /// node. It identifies the conjunct *sequence* independent of which nodes
+    /// carry it, and is reproduced bit-identically by every process that
+    /// builds the same sequence.
     pub fn fingerprint(&self) -> u128 {
         self.fp
     }
@@ -138,30 +127,17 @@ impl PathCond {
             return self.clone();
         }
         let formula = intern::intern_formula(formula);
-        let content = intern::content_id(self.content_id(), formula.id());
-        let conjunct_fp = formula.fingerprint_or(fingerprint::formula_fp);
         let fp = fingerprint::combine(
             fingerprint::DOMAIN_PATH_NODE,
-            &[self.fingerprint(), conjunct_fp],
+            &[self.fingerprint(), formula.fingerprint()],
         );
         PathCond(Some(Arc::new(PathNode {
             formula,
-            content,
             fp,
             parent: self.clone(),
             len: self.len() + 1,
             cache: Mutex::new(NodeCache::default()),
         })))
-    }
-
-    /// The content id of the whole conjunct sequence
-    /// ([`intern::EMPTY_CONTENT_ID`] for the empty condition). Equal content
-    /// ids imply structurally equal conditions, across independently built
-    /// paths and across injections.
-    pub fn content_id(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(intern::EMPTY_CONTENT_ID, |n| n.content)
     }
 
     /// The stable structural fingerprint of the conjunct sequence
@@ -213,8 +189,9 @@ impl PathCond {
     /// Nodes are immutable, so a node that is *only* reachable from dropped
     /// states dies with them anyway; the explicit clear covers stale nodes
     /// kept alive by lingering result snapshots. The process-wide content
-    /// memos need no clearing: they are keyed on the conjunct sequence, and
-    /// the re-explored paths push the *new* program's conjuncts.
+    /// memos need no clearing: they are keyed on the fingerprint of the
+    /// conjunct sequence, and the re-explored paths push the *new* program's
+    /// conjuncts.
     pub fn invalidate_deeper_than(&self, keep_len: usize) -> usize {
         let mut cleared = 0;
         let mut cur = self.0.as_deref();
@@ -266,19 +243,17 @@ impl Drop for PathCond {
 }
 
 impl PartialEq for PathCond {
+    /// Exact structural equality. Different fingerprints decide the common
+    /// unequal case; equal ones are confirmed conjunct by conjunct, so a
+    /// fingerprint collision can never make two different conditions equal.
     fn eq(&self, other: &Self) -> bool {
-        if self.len() != other.len() {
+        if self.fingerprint() != other.fingerprint() || self.len() != other.len() {
             return false;
         }
         let (mut a, mut b) = (self.0.as_deref(), other.0.as_deref());
         while let (Some(x), Some(y)) = (a, b) {
             // Shared suffix (common fork ancestor): equal by construction.
             if std::ptr::eq(x, y) {
-                return true;
-            }
-            // Same interned content ⇒ same conjunct sequence, even across
-            // independently built chains.
-            if x.content == y.content {
                 return true;
             }
             if x.formula != y.formula {

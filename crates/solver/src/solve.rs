@@ -43,15 +43,10 @@ pub struct SolverConfig {
     /// Use the incremental prefix-cached procedure for [`PathCond`] queries
     /// ([`Solver::check_path`] and friends). When disabled, path queries are
     /// materialised into a single formula and solved from scratch — the
-    /// baseline the benchmarks compare against.
+    /// baseline the benchmarks compare against. This knob selects *how*
+    /// answers are obtained, never *what* they are, so it is excluded from
+    /// the config fingerprint mixed into cache keys.
     pub incremental: bool,
-    /// Consult and populate the process-wide persistent cache
-    /// ([`crate::cache`]) when one is configured. Has no effect while no
-    /// cache directory is active; disabling it opts this solver out even when
-    /// one is. Like `incremental`, this knob selects *how* answers are
-    /// obtained, never *what* they are, so it is excluded from the
-    /// config fingerprint mixed into cache keys.
-    pub persistent: bool,
 }
 
 impl Default for SolverConfig {
@@ -62,7 +57,6 @@ impl Default for SolverConfig {
             max_propagation_rounds: 64,
             samples_per_var: 6,
             incremental: true,
-            persistent: true,
         }
     }
 }
@@ -99,52 +93,49 @@ const MEMO_CAPACITY: usize = 8192;
 /// that aborted it.
 type CachedCubes = Result<Arc<Vec<Cube>>, CubeOverflow>;
 
-/// The budget fields of a [`SolverConfig`] that the decision procedure's
-/// answers depend on. Global content-memo keys include this so solvers with
-/// different budgets never exchange results.
-type ConfigKey = (usize, usize, usize, usize);
-
 /// Number of independently locked shards of each global content memo.
 const CONTENT_SHARDS: usize = 16;
 
-/// A process-wide memo keyed on interned path content ids (plus the solver's
-/// budget configuration). Shared by every worker's solver *and across
-/// injections*: re-injecting a structurally identical scenario reproduces the
-/// same content ids (see [`crate::intern::content_id`]) and therefore hits
-/// these entries instead of re-solving.
+/// A process-wide memo keyed on the query key the persistent store uses too
+/// (see [`Solver::persisted`]): the prefix fingerprint and the solver's
+/// [`fingerprint::config_fp`], combined under the query's domain tag. Shared
+/// by every worker's solver *and across injections*: re-injecting a
+/// structurally identical scenario reproduces the same fingerprints and
+/// therefore hits these entries instead of re-solving, while solvers with
+/// different budgets never exchange results.
 ///
 /// An entry is a pure function of its key, so a hit is taken whenever there
 /// is one — whatever the state of the queried chain's node caches — and
 /// changes nothing a report pins (see [`crate::stats`]).
 ///
-/// Shards are selected by content id and cleared at capacity — correctness
-/// never depends on what survives eviction.
-struct ContentMemo<K, V> {
-    shards: Vec<Mutex<HashMap<K, V>>>,
+/// Shards are selected by key and cleared at capacity — correctness never
+/// depends on what survives eviction.
+struct ContentMemo<V> {
+    shards: Vec<Mutex<HashMap<u128, V>>>,
 }
 
-impl<K: std::hash::Hash + Eq, V: Clone> ContentMemo<K, V> {
+impl<V: Clone> ContentMemo<V> {
     fn new() -> Self {
         ContentMemo {
             shards: (0..CONTENT_SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
 
-    fn shard(&self, content: u64) -> &Mutex<HashMap<K, V>> {
-        &self.shards[(content as usize) % CONTENT_SHARDS]
+    fn shard(&self, key: u128) -> &Mutex<HashMap<u128, V>> {
+        &self.shards[(key as usize) % CONTENT_SHARDS]
     }
 
-    fn get(&self, content: u64, key: &K) -> Option<V> {
+    fn get(&self, key: u128) -> Option<V> {
         let guard = self
-            .shard(content)
+            .shard(key)
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        guard.get(key).cloned()
+        guard.get(&key).cloned()
     }
 
-    fn insert(&self, content: u64, key: K, value: V) {
+    fn insert(&self, key: u128, value: V) {
         let mut guard = self
-            .shard(content)
+            .shard(key)
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if guard.len() >= MEMO_CAPACITY {
@@ -160,19 +151,17 @@ impl<K: std::hash::Hash + Eq, V: Clone> ContentMemo<K, V> {
     }
 }
 
-/// Global memo for [`Solver::check_path`]: content id → (prefix cubes,
-/// verdict).
-fn path_memo() -> &'static ContentMemo<(u64, ConfigKey), (CachedCubes, SolverResult)> {
-    static MEMO: OnceLock<ContentMemo<(u64, ConfigKey), (CachedCubes, SolverResult)>> =
-        OnceLock::new();
+/// Global memo for [`Solver::check_path`]: `DOMAIN_PATH` key → (prefix
+/// cubes, verdict).
+fn path_memo() -> &'static ContentMemo<(CachedCubes, SolverResult)> {
+    static MEMO: OnceLock<ContentMemo<(CachedCubes, SolverResult)>> = OnceLock::new();
     MEMO.get_or_init(ContentMemo::new)
 }
 
-/// Global memo for [`Solver::feasible_values_path`]: (content id, variable) →
-/// projection.
-fn feasible_memo() -> &'static ContentMemo<(u64, SymVar, ConfigKey), Option<IntervalSet>> {
-    static MEMO: OnceLock<ContentMemo<(u64, SymVar, ConfigKey), Option<IntervalSet>>> =
-        OnceLock::new();
+/// Global memo for [`Solver::feasible_values_path`]: `DOMAIN_PROJECTION` key
+/// → projection.
+fn feasible_memo() -> &'static ContentMemo<Option<IntervalSet>> {
+    static MEMO: OnceLock<ContentMemo<Option<IntervalSet>>> = OnceLock::new();
     MEMO.get_or_init(ContentMemo::new)
 }
 
@@ -241,13 +230,14 @@ impl Answer for Option<IntervalSet> {
 ///   that forked from the same prefix and by every worker) and stores the cube
 ///   normalisation plus verdict of each prefix, so checking `P ∧ c` reuses the
 ///   analysis of `P` and only folds in `c`;
-/// * the **content memos** are process-wide tables keyed on interned content
-///   ids (see [`crate::intern`]), so structurally identical prefixes — sibling
-///   extensions, or a whole scenario re-injected into a fresh network — are
-///   answered without re-solving even though their nodes are distinct;
+/// * the **content memos** are process-wide tables keyed on prefix
+///   fingerprints (see [`crate::fingerprint`]), so structurally identical
+///   prefixes — sibling extensions, or a whole scenario re-injected into a
+///   fresh network — are answered without re-solving even though their nodes
+///   are distinct;
 /// * the **persistent store** ([`crate::cache`], off unless a directory is
-///   configured) keeps verdicts and projections across processes, keyed on
-///   structural fingerprints.
+///   configured) keeps verdicts and projections across processes, under the
+///   same keys as the content memos.
 ///
 /// Which layer answers a query shows only in the measurement counters of
 /// [`SolverStats`], never in an answer or in what a report serialises.
@@ -270,17 +260,6 @@ impl Solver {
     /// Accumulated statistics (queries, outcomes, time in solver).
     pub fn stats(&self) -> &SolverStats {
         &self.stats
-    }
-
-    /// The budget fields that global content-memo keys include, so solvers
-    /// configured differently never exchange cached answers.
-    fn config_key(&self) -> ConfigKey {
-        (
-            self.config.max_cubes,
-            self.config.max_model_attempts,
-            self.config.max_propagation_rounds,
-            self.config.samples_per_var,
-        )
     }
 
     /// Resets the accumulated statistics.
@@ -306,21 +285,20 @@ impl Solver {
         answer
     }
 
-    /// The persistent layer, in one place: when this solver's config opts in
-    /// *and* a cache directory is configured process-wide, looks the answer up
-    /// under the key `key` builds from the fingerprint of the
-    /// verdict-affecting config knobs (see [`fingerprint::config_fp`]); on a
-    /// miss, or with the layer off, runs `solve` and stores what it returns.
+    /// The persistent layer, in one place: when a cache directory is
+    /// configured process-wide, looks the answer up under `key` — the
+    /// query's content fingerprints and [`fingerprint::config_fp`] combined
+    /// under its domain tag, built only when the layer is on; on a miss, or
+    /// with the layer off, runs `solve` and stores what it returns.
     fn persisted<T: Answer>(
         &mut self,
-        key: impl FnOnce(u128) -> u128,
+        key: impl FnOnce() -> u128,
         solve: impl FnOnce(&mut Self) -> T,
     ) -> T {
-        if !(self.config.persistent && cache::active()) {
+        if !cache::active() {
             return solve(self);
         }
-        let (cubes, attempts, rounds, samples) = self.config_key();
-        let key = key(fingerprint::config_fp(cubes, attempts, rounds, samples));
+        let key = key();
         if let Some(answer) = T::lookup(key) {
             self.stats.persisted_hits += 1;
             return answer;
@@ -338,8 +316,9 @@ impl Solver {
             // `Unknown` is stored too: a cube-budget overflow is a
             // deterministic function of (formula, config), so caching it
             // saves the re-normalisation.
+            let config = fingerprint::config_fp(&s.config);
             s.persisted(
-                |config| {
+                || {
                     let parts = [fingerprint::formula_fp(formula), config];
                     fingerprint::combine(fingerprint::DOMAIN_CHECK, &parts)
                 },
@@ -455,10 +434,11 @@ impl Solver {
         // Content memo: any prefix with the same *content* — a sibling
         // extension of a shared parent, or the same scenario re-injected into
         // a fresh network — has the same cubes and verdict (both are a
-        // function of the conjunct sequence alone).
-        let content = node.content_id();
-        let memo_key = (content, self.config_key());
-        if let Some((cubes, result)) = path_memo().get(content, &memo_key) {
+        // function of the conjunct sequence alone). The same key serves the
+        // persistent layer.
+        let config = fingerprint::config_fp(&self.config);
+        let key = fingerprint::combine(fingerprint::DOMAIN_PATH, &[node.fingerprint(), config]);
+        if let Some((cubes, result)) = path_memo().get(key) {
             self.stats.content_hits += 1;
             guard.cubes = Some(cubes);
             guard.result = Some(result.clone());
@@ -471,15 +451,10 @@ impl Solver {
         let cubes = self.cubes_locked(node, &mut guard);
         let result = match &cubes {
             Err(_) => SolverResult::Unknown,
-            Ok(cubes) => self.persisted(
-                |config| {
-                    fingerprint::combine(fingerprint::DOMAIN_PATH, &[node.fingerprint(), config])
-                },
-                |s| s.solve_cubes(cubes),
-            ),
+            Ok(cubes) => self.persisted(|| key, |s| s.solve_cubes(cubes)),
         };
         guard.result = Some(result.clone());
-        path_memo().insert(content, memo_key, (cubes, result.clone()));
+        path_memo().insert(key, (cubes, result.clone()));
         result
     }
 
@@ -508,13 +483,17 @@ impl Solver {
                 .and_then(|prefix| append_conjunct(&prefix, extra, s.config.max_cubes));
             match cubes {
                 Err(_) => SolverResult::Unknown,
-                Ok(cubes) => s.persisted(
-                    |config| {
-                        let parts = [path.fingerprint(), fingerprint::formula_fp(extra), config];
-                        fingerprint::combine(fingerprint::DOMAIN_ASSUMING, &parts)
-                    },
-                    |s| s.solve_cubes(&cubes),
-                ),
+                Ok(cubes) => {
+                    let config = fingerprint::config_fp(&s.config);
+                    s.persisted(
+                        || {
+                            let parts =
+                                [path.fingerprint(), fingerprint::formula_fp(extra), config];
+                            fingerprint::combine(fingerprint::DOMAIN_ASSUMING, &parts)
+                        },
+                        |s| s.solve_cubes(&cubes),
+                    )
+                }
             }
         })
     }
@@ -528,34 +507,35 @@ impl Solver {
 
     /// Projects a persistent path condition onto one variable (the incremental
     /// counterpart of [`Solver::feasible_values`]). Results are memoised
-    /// process-wide per `(prefix content, variable)`: the engine queries the
-    /// same projection for every loop-detection field at every port arrival,
-    /// sibling paths forked from one prefix repeat the identical query, and a
-    /// re-injected scenario repeats all of them with fresh nodes but identical
-    /// content ids.
+    /// process-wide per `(prefix fingerprint, variable)`: the engine queries
+    /// the same projection for every loop-detection field at every port
+    /// arrival, sibling paths forked from one prefix repeat the identical
+    /// query, and a re-injected scenario repeats all of them with fresh nodes
+    /// but identical fingerprints.
     pub fn feasible_values_path(&mut self, path: &PathCond, var: SymVar) -> Option<IntervalSet> {
         if !self.config.incremental {
             return self.feasible_values(&path.to_formula(), var);
         }
         self.query(|s| {
-            let content = path.content_id();
-            let memo_key = (content, var, s.config_key());
-            if let Some(hit) = feasible_memo().get(content, &memo_key) {
+            let parts = [
+                path.fingerprint(),
+                fingerprint::var_fp(var),
+                fingerprint::config_fp(&s.config),
+            ];
+            let key = fingerprint::combine(fingerprint::DOMAIN_PROJECTION, &parts);
+            if let Some(hit) = feasible_memo().get(key) {
                 s.stats.content_hits += 1;
                 return hit;
             }
             s.stats.content_misses += 1;
             let result = s.persisted(
-                |config| {
-                    let parts = [path.fingerprint(), fingerprint::var_fp(var), config];
-                    fingerprint::combine(fingerprint::DOMAIN_PROJECTION, &parts)
-                },
+                || key,
                 |s| {
                     let cubes = s.prefix_cubes(path).ok()?;
                     Some(s.project_cubes(&cubes, var))
                 },
             );
-            feasible_memo().insert(content, memo_key, result.clone());
+            feasible_memo().insert(key, result.clone());
             result
         })
     }
@@ -1247,6 +1227,57 @@ mod tests {
         // Which layer answered is a measurement; what was asked and answered
         // is the same either way.
         assert_eq!((warm.stats().calls, warm.stats().sat), (1, 1));
+    }
+
+    #[test]
+    fn differently_budgeted_solvers_never_share_memo_entries() {
+        // Four two-variable disjunctions normalise into 16 cubes: over a
+        // budget of 8, well inside the default one. Each order runs on its
+        // own variables, so both start from a cold memo.
+        let tight = SolverConfig {
+            max_cubes: 8,
+            ..SolverConfig::default()
+        };
+        for (base, order) in [
+            (920, [tight, SolverConfig::default()]),
+            (940, [SolverConfig::default(), tight]),
+        ] {
+            let build = || -> PathCond {
+                (0..4u64)
+                    .map(|i| {
+                        Formula::or(vec![
+                            Formula::eq_const(v(base + 2 * i, 8), 0),
+                            Formula::eq_const(v(base + 2 * i + 1, 8), 0),
+                        ])
+                    })
+                    .collect()
+            };
+            for config in order {
+                // A freshly rebuilt chain: no node cache can answer, only the
+                // memo could.
+                let chain = build();
+                let mut s = Solver::with_config(config);
+                let verdict = s.check_path(&chain);
+                assert_eq!(
+                    (s.stats().content_hits, s.stats().content_misses),
+                    (0, 1),
+                    "{config:?}"
+                );
+                let projection = s.feasible_values_path(&chain, v(base, 8));
+                assert_eq!(
+                    (s.stats().content_hits, s.stats().content_misses),
+                    (0, 2),
+                    "{config:?}"
+                );
+                if config == tight {
+                    assert_eq!(verdict, SolverResult::Unknown);
+                    assert_eq!(projection, None);
+                } else {
+                    assert!(verdict.is_sat(), "{verdict:?}");
+                    assert!(projection.is_some());
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,9 +39,9 @@ pub struct SolverStats {
     #[serde(skip)]
     pub prefix_misses: u64,
     /// Content-memo hits (a measurement): path queries answered from the
-    /// process-wide memos keyed on interned content ids (see
-    /// [`crate::intern`]), which is what a sibling extension or a re-injected
-    /// scenario hits instead of re-solving.
+    /// process-wide memos keyed on prefix fingerprints (see
+    /// [`crate::fingerprint`]), which is what a sibling extension or a
+    /// re-injected scenario hits instead of re-solving.
     #[serde(skip)]
     pub content_hits: u64,
     /// Content-memo misses (a measurement).

@@ -151,8 +151,8 @@ proptest! {
     }
 
     /// Interning is invisible to answers: rebuilding the same conjunct chain
-    /// from scratch produces fresh path nodes but identical interned content
-    /// ids, so the second pass is answered by the process-wide content memos —
+    /// from scratch produces fresh path nodes but identical fingerprints, so
+    /// the second pass is answered by the process-wide content memos —
     /// and must agree, verdict for verdict and interval for interval, with
     /// both its own first pass and the uninterned `incremental = false`
     /// baseline that re-solves the materialised formula every time.
@@ -196,8 +196,8 @@ proptest! {
         };
         let mut cold = Solver::default();
         let first = run(&mut cold);
-        // Fresh solver, fresh nodes: only interned content survives between
-        // the passes, so agreement here is agreement through the memo tables.
+        // Fresh solver, fresh nodes: only the fingerprint-keyed memos survive
+        // between the passes, so agreement here is agreement through them.
         let mut warm = Solver::default();
         let second = run(&mut warm);
         prop_assert_eq!(&first, &second);

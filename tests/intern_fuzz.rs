@@ -1,10 +1,10 @@
 //! Interner behaviour under fuzz-chain load: a multi-scenario differential
-//! fuzz chain churns the process-wide interning tables (formulas, intervals,
-//! content ids) with thousands of short-lived terms. The eviction counters
-//! must stay monotone (they are cumulative process-wide counters), and a
-//! scenario re-run after heavy churn must produce a byte-identical canonical
-//! report — hot entries surviving (or being re-created identically) is what
-//! makes the memo layers transparent to results.
+//! fuzz chain churns the process-wide formula interner with thousands of
+//! short-lived terms. The eviction counters must stay monotone (they are
+//! cumulative process-wide counters), and a scenario re-run after heavy churn
+//! must produce a byte-identical canonical report — every memo layer is keyed
+//! on structural fingerprints, so whether a formula survived churn or was
+//! re-interned into a fresh allocation never shows in a result.
 
 use symnet_suite::core::engine::{ExecConfig, SymNet};
 use symnet_suite::core::report::canonical_report_json_string;
@@ -43,24 +43,18 @@ fn eviction_counters_are_monotone_across_fuzz_chains() {
     let paths = fuzz_chain(0x1273_4EED, 10);
     assert!(paths > 0, "the chain must exercise the solver");
     let after = eviction_stats();
-    for (name, b, a) in [
-        ("formulas", before.formulas, after.formulas),
-        ("intervals", before.intervals, after.intervals),
-        ("content", before.content, after.content),
-    ] {
-        assert!(
-            a.evicted >= b.evicted,
-            "{name}.evicted must be monotone: {} -> {}",
-            b.evicted,
-            a.evicted
-        );
-        assert!(
-            a.sweeps >= b.sweeps,
-            "{name}.sweeps must be monotone: {} -> {}",
-            b.sweeps,
-            a.sweeps
-        );
-    }
+    assert!(
+        after.evicted >= before.evicted,
+        "evicted must be monotone: {} -> {}",
+        before.evicted,
+        after.evicted
+    );
+    assert!(
+        after.sweeps >= before.sweeps,
+        "sweeps must be monotone: {} -> {}",
+        before.sweeps,
+        after.sweeps
+    );
 }
 
 #[test]

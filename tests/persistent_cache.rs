@@ -96,12 +96,12 @@ fn run_chain(solver: &mut Solver, ops: &[ChainOp]) -> Vec<(bool, bool, Vec<Optio
     out
 }
 
-/// The ground truth: a fresh solver with both the incremental procedure and
-/// the persistent layer disabled, re-solving every materialised prefix.
+/// The ground truth: a fresh solver with the incremental procedure disabled,
+/// re-solving every materialised prefix (path queries then bypass every cache
+/// layer, the persistent one included).
 fn scratch_chain(ops: &[ChainOp]) -> Vec<(bool, bool, Vec<Option<IntervalSet>>)> {
     let mut scratch = Solver::with_config(SolverConfig {
         incremental: false,
-        persistent: false,
         ..SolverConfig::default()
     });
     run_chain(&mut scratch, ops)
@@ -234,7 +234,6 @@ fn stale_solver_config_fingerprint_never_matches() {
     // ... and its verdicts match its own from-scratch baseline.
     let mut scratch = Solver::with_config(SolverConfig {
         incremental: false,
-        persistent: false,
         ..stale
     });
     assert_eq!(got, run_chain(&mut scratch, &ops));
