@@ -36,18 +36,19 @@
 //! of deep-copying it, and the solver reuses the analysis cached on the
 //! shared path-condition prefix ([`Solver::check_path`]).
 
-use crate::error::{DropReason, EngineError, ExecError};
+use crate::error::{DropReason, EngineError};
+use crate::interp::{exec_instr, local_prefix, Ctx, FlowStatus};
 use crate::network::{ElementId, Network};
+use crate::sched::{panic_message, SchedStats, StealScheduler};
 use crate::state::{ExecState, TraceEntry};
 use crate::symbols::VarAllocator;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symnet_sefl::field::FieldRef;
 use symnet_sefl::fields;
@@ -193,40 +194,6 @@ impl PathReport {
     }
 }
 
-/// Work-stealing scheduler counters for one run, merged across workers.
-///
-/// Excluded from serialized reports (`#[serde(skip)]` on
-/// [`ExecutionReport::sched`], absent from the JSON rendering) for the same
-/// reason as the solver's cache-layer counters: they are measurements of how
-/// a run went (which worker pops which path is scheduling-dependent), not of
-/// what was asked, and reports must stay byte-identical across thread counts.
-/// The sec85 table and the bench harness print them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Paths a worker popped from its own deque (the contention-free case).
-    pub local_hits: u64,
-    /// Steal operations: each takes a batch from the FIFO end of a victim's
-    /// deque and immediately runs the batch's first path.
-    pub steals: u64,
-    /// Extra paths carried along by batch steals (beyond the one executed
-    /// immediately); they are re-queued on the thief's own deque, so one steal
-    /// keeps a previously starved worker busy for several steps.
-    pub batch_stolen: u64,
-    /// Forked children that did not fit the bounded local deque and spilled
-    /// to the shared overflow injector.
-    pub overflow_pushes: u64,
-}
-
-impl SchedStats {
-    /// Merges another worker's counters into this record.
-    pub fn merge(&mut self, other: &SchedStats) {
-        self.local_hits += other.local_hits;
-        self.steals += other.steals;
-        self.batch_stolen += other.batch_stolen;
-        self.overflow_pushes += other.overflow_pushes;
-    }
-}
-
 /// The result of one [`SymNet::inject`] call.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ExecutionReport {
@@ -286,40 +253,6 @@ impl ExecutionReport {
     /// Total number of explored paths.
     pub fn path_count(&self) -> usize {
         self.paths.len()
-    }
-}
-
-/// Status of a packet flow while executing one element's code.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum FlowStatus {
-    /// Still executing.
-    Running,
-    /// Forwarded to an output port of the current element.
-    SentTo(usize),
-    /// Terminated.
-    Dropped(DropReason),
-}
-
-/// A packet flow inside one element.
-#[derive(Clone, Debug)]
-struct Flow {
-    state: ExecState,
-    status: FlowStatus,
-}
-
-impl Flow {
-    fn running(state: ExecState) -> Self {
-        Flow {
-            state,
-            status: FlowStatus::Running,
-        }
-    }
-
-    fn dropped(state: ExecState, reason: DropReason) -> Self {
-        Flow {
-            state,
-            status: FlowStatus::Dropped(reason),
-        }
     }
 }
 
@@ -408,28 +341,6 @@ impl PendingPath {
     /// The execution state at this element entry.
     pub(crate) fn state(&self) -> &ExecState {
         &self.state
-    }
-}
-
-/// Mutable context used by the interpreter while processing one pending path.
-/// Workers own one context each — the engine's scoped workers for the length
-/// of a run, the serving subsystem's pool workers ([`crate::server`]) for the
-/// life of the pool. The solver in it only accumulates statistics; every cache
-/// it consults lives on the shared path-condition nodes or is process-wide, so
-/// which worker runs a step never changes what that step finds cached.
-pub(crate) struct Ctx {
-    solver: Solver,
-    symbols: VarAllocator,
-}
-
-impl Ctx {
-    /// A fresh per-worker context. The allocator is a placeholder: every
-    /// processed path installs its own allocator for the duration of its step.
-    pub(crate) fn new(config: SolverConfig) -> Ctx {
-        Ctx {
-            solver: Solver::with_config(config),
-            symbols: VarAllocator::new(),
-        }
     }
 }
 
@@ -571,277 +482,6 @@ impl<'a> StepSink<'a> {
             symbols,
             lineage,
         });
-    }
-}
-
-/// Capacity of each worker's local deque. Children beyond this spill to the
-/// shared overflow injector, which doubles as natural load shedding: a worker
-/// producing paths faster than it can drain them hands the surplus to idle
-/// peers without waiting to be robbed.
-const LOCAL_DEQUE_CAP: usize = 256;
-
-/// The work-stealing scheduler of the parallel driver — generic over the work
-/// item so the serving subsystem ([`crate::server`]) can run the same protocol
-/// over query-tagged paths in a long-lived pool.
-///
-/// Topology: one bounded deque per worker plus one shared overflow injector.
-/// The owner pushes and pops at the *back* of its deque (LIFO — depth-first
-/// locally, which keeps the working set small and the persistent-state
-/// sharing warm), thieves and the injector path take from the *front* (FIFO —
-/// the oldest, shallowest path, whose subtree is the largest unit of work a
-/// thief can take in one grab). See DESIGN.md for the protocol diagram.
-///
-/// Termination: `outstanding` counts queued plus in-flight paths. It is
-/// incremented for a step's children *before* they are published and
-/// decremented for the finished step *after*, so it can only read zero once
-/// no path exists anywhere and none is being processed — at which point every
-/// worker exits. `queued` (incremented before a push, decremented after a
-/// pop) lets an idle worker decide, under the sleep lock, whether anything is
-/// worth re-scanning; producers bump it before taking the same lock to
-/// notify, so a sleeper can never miss a wakeup.
-///
-/// A **persistent** scheduler (the server pool) never terminates on
-/// `outstanding == 0`: an empty pool just means no query is in flight, so
-/// idle workers sleep until [`StealScheduler::inject`] publishes the roots of
-/// a newly admitted query or [`StealScheduler::stop`] shuts the pool down.
-pub(crate) struct StealScheduler<T> {
-    /// One bounded deque per worker.
-    locals: Vec<Mutex<VecDeque<T>>>,
-    /// Shared overflow injector: the injection roots plus local overflow.
-    injector: Mutex<VecDeque<T>>,
-    /// Queued + in-flight paths; 0 means no work can ever appear again.
-    outstanding: AtomicUsize,
-    /// Paths currently sitting in some queue (conservative: incremented
-    /// before a push becomes visible, decremented after a pop).
-    queued: AtomicUsize,
-    /// Set when the path budget stops the run (or a worker panics).
-    stopped: AtomicBool,
-    /// The first caught worker panic, rendered as text. Recorded *before*
-    /// `stop()` so the driver can distinguish "stopped by budget" from
-    /// "stopped by panic".
-    panic: Mutex<Option<String>>,
-    /// Sleep coordination for idle workers.
-    idle: Mutex<()>,
-    ready: Condvar,
-    /// Long-lived pool mode: an empty scheduler parks its workers instead of
-    /// terminating them (see the type docs).
-    persistent: bool,
-}
-
-/// Locks a mutex, tolerating poison: the engine catches worker panics and
-/// shuts the run down itself, so a poisoned lock only means "some worker
-/// unwound mid-step" — the protected data (queues of pending paths, the panic
-/// slot) is still structurally valid and the remaining workers must keep
-/// draining instead of cascading `expect("poisoned")` panics through the
-/// whole pool.
-pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Renders a caught panic payload as text (panics carry `&str` or `String`
-/// payloads in practice; anything else gets a placeholder).
-pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic>".to_string()
-    }
-}
-
-impl<T> StealScheduler<T> {
-    fn new(workers: usize, roots: Vec<T>) -> Self {
-        let count = roots.len();
-        StealScheduler {
-            locals: (0..workers)
-                .map(|_| Mutex::new(VecDeque::with_capacity(LOCAL_DEQUE_CAP)))
-                .collect(),
-            injector: Mutex::new(VecDeque::from(roots)),
-            outstanding: AtomicUsize::new(count),
-            queued: AtomicUsize::new(count),
-            stopped: AtomicBool::new(false),
-            panic: Mutex::new(None),
-            idle: Mutex::new(()),
-            ready: Condvar::new(),
-            persistent: false,
-        }
-    }
-
-    /// An empty long-lived pool: workers park when no work exists instead of
-    /// terminating, and only [`StealScheduler::stop`] ends them. Work arrives
-    /// later through [`StealScheduler::inject`].
-    pub(crate) fn persistent(workers: usize) -> Self {
-        StealScheduler {
-            persistent: true,
-            ..StealScheduler::new(workers, Vec::new())
-        }
-    }
-
-    /// Publishes externally produced work (the root paths of a newly admitted
-    /// query) onto the shared injector and wakes the pool.
-    pub(crate) fn inject(&self, items: Vec<T>) {
-        if items.is_empty() {
-            return;
-        }
-        self.outstanding
-            .fetch_add(items.len(), AtomicOrdering::SeqCst);
-        self.queued.fetch_add(items.len(), AtomicOrdering::SeqCst);
-        relock(&self.injector).extend(items);
-        self.wake_all();
-    }
-
-    /// Blocks until a pending path is available for worker `me`; `None` means
-    /// the run is over (every queue drained with nothing in flight, or
-    /// stopped by the path budget / pool shutdown).
-    pub(crate) fn pop(&self, me: usize, stats: &mut SchedStats) -> Option<T> {
-        loop {
-            if self.stopped.load(AtomicOrdering::SeqCst) {
-                return None;
-            }
-            // 1. Own deque, newest first (contention-free in the common case).
-            if let Some(p) = relock(&self.locals[me]).pop_back() {
-                self.queued.fetch_sub(1, AtomicOrdering::SeqCst);
-                stats.local_hits += 1;
-                return Some(p);
-            }
-            // 2. Shared overflow injector (roots + spilled children), oldest
-            // first.
-            if let Some(p) = relock(&self.injector).pop_front() {
-                self.queued.fetch_sub(1, AtomicOrdering::SeqCst);
-                return Some(p);
-            }
-            // 3. Steal from a victim, scanning peers round-robin from our
-            // right neighbour so thieves spread instead of mobbing worker 0.
-            // Steal-half batching: take up to half the victim's deque from the
-            // FIFO end (the oldest, shallowest paths — the largest subtrees) in
-            // one lock acquisition, run the first stolen path now and park the
-            // rest on our own (empty — we only steal when dry) deque. One
-            // steal thus feeds a starved worker for several steps instead of
-            // sending it back to the victim's lock after every path.
-            let n = self.locals.len();
-            for offset in 1..n {
-                let victim = (me + offset) % n;
-                let batch: Vec<T> = {
-                    let mut deque = relock(&self.locals[victim]);
-                    let take = deque.len().div_ceil(2).min(LOCAL_DEQUE_CAP);
-                    deque.drain(..take).collect()
-                };
-                if batch.is_empty() {
-                    continue;
-                }
-                stats.steals += 1;
-                stats.batch_stolen += (batch.len() - 1) as u64;
-                // Only the path we execute leaves the queues; the rest stay
-                // queued (now on our deque), so `queued` drops by exactly one.
-                self.queued.fetch_sub(1, AtomicOrdering::SeqCst);
-                let mut batch = batch.into_iter();
-                let first = batch.next();
-                let rest: Vec<T> = batch.collect();
-                if !rest.is_empty() {
-                    relock(&self.locals[me]).extend(rest);
-                    // The parked paths became stealable again from a new
-                    // location; let sleepers re-scan.
-                    self.wake_all();
-                }
-                return first;
-            }
-            // 4. Nothing anywhere: the run is over iff nothing is in flight
-            // (in-flight steps may still publish children). Otherwise sleep
-            // until a producer notifies; the double-check of `queued` under
-            // the sleep lock closes the race with a producer that published
-            // between our scan and the lock (producers bump `queued` before
-            // taking the lock to notify). The timeout is a belt-and-braces
-            // backstop, not load-bearing. A persistent pool never terminates
-            // on emptiness — an idle pool parks here until the next query's
-            // roots are injected or the pool is stopped.
-            if !self.persistent && self.outstanding.load(AtomicOrdering::SeqCst) == 0 {
-                self.wake_all();
-                return None;
-            }
-            let guard = relock(&self.idle);
-            if self.queued.load(AtomicOrdering::SeqCst) == 0
-                && !self.stopped.load(AtomicOrdering::SeqCst)
-                && (self.persistent || self.outstanding.load(AtomicOrdering::SeqCst) != 0)
-            {
-                let _ = self
-                    .ready
-                    .wait_timeout(guard, Duration::from_millis(1))
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-    }
-
-    /// Publishes the children of a finished processing step onto worker
-    /// `me`'s deque (overflow spilling to the injector) and retires the step.
-    pub(crate) fn complete(&self, me: usize, children: Vec<T>, stats: &mut SchedStats) {
-        if !children.is_empty() {
-            // Count the children as outstanding *before* they become visible
-            // so `outstanding` can never dip to zero while work exists.
-            self.outstanding
-                .fetch_add(children.len(), AtomicOrdering::SeqCst);
-            self.queued
-                .fetch_add(children.len(), AtomicOrdering::SeqCst);
-            let mut spill: Vec<T> = Vec::new();
-            {
-                let mut local = relock(&self.locals[me]);
-                for child in children {
-                    if local.len() < LOCAL_DEQUE_CAP {
-                        local.push_back(child);
-                    } else {
-                        spill.push(child);
-                    }
-                }
-            }
-            if !spill.is_empty() {
-                stats.overflow_pushes += spill.len() as u64;
-                relock(&self.injector).extend(spill);
-            }
-            self.retire();
-            self.wake_all();
-        } else {
-            self.retire();
-        }
-    }
-
-    /// Retires one in-flight step; wakes every sleeper if that was the last
-    /// outstanding path (so they observe termination).
-    fn retire(&self) {
-        if self.outstanding.fetch_sub(1, AtomicOrdering::SeqCst) == 1 {
-            self.wake_all();
-        }
-    }
-
-    /// Stops the run (path budget exhausted, a worker unwound, or — for a
-    /// persistent pool — shutdown).
-    pub(crate) fn stop(&self) {
-        self.stopped.store(true, AtomicOrdering::SeqCst);
-        self.wake_all();
-    }
-
-    /// Records a caught worker panic (the first one wins — later panics are
-    /// usually knock-on effects of the first) and stops the run so every peer
-    /// drains cleanly instead of waiting forever for the dead step to retire.
-    fn poison(&self, message: String) {
-        {
-            let mut slot = relock(&self.panic);
-            if slot.is_none() {
-                *slot = Some(message);
-            }
-        }
-        self.stop();
-    }
-
-    /// Takes the recorded panic message, if any worker panicked.
-    fn take_panic(&self) -> Option<String> {
-        relock(&self.panic).take()
-    }
-
-    /// Notifies every sleeping worker. Taking the sleep lock orders the
-    /// notification after any in-progress sleeper's queue re-check.
-    fn wake_all(&self) {
-        let _guard = relock(&self.idle);
-        self.ready.notify_all();
     }
 }
 
@@ -1474,347 +1114,10 @@ pub(crate) fn finalize_report(
     }
 }
 
-/// The metadata namespace prefix for local allocations of an element instance.
-/// Public so that reference executors (the differential fuzzer's concrete
-/// replay) resolve local metadata exactly like the symbolic engine does.
-pub fn local_prefix(network: &Network, element: ElementId) -> String {
-    format!("local:{}#{}:", network.element(element).name, element.0)
-}
-
-/// Interprets one instruction over one state, producing the resulting flows.
-/// `element` and `network` are threaded through for instructions that need
-/// the surrounding topology context (none of the current instruction set
-/// does outside of recursion, hence the lint allowance).
-#[allow(clippy::only_used_in_recursion)]
-fn exec_instr(
-    ctx: &mut Ctx,
-    local_prefix: &str,
-    element: ElementId,
-    network: &Network,
-    instr: &Instruction,
-    mut state: ExecState,
-) -> Vec<Flow> {
-    match instr {
-        Instruction::NoOp => vec![Flow::running(state)],
-        Instruction::Block(instrs) => {
-            let mut flows = vec![Flow::running(state)];
-            for i in instrs {
-                let mut next = Vec::with_capacity(flows.len());
-                for flow in flows {
-                    match flow.status {
-                        FlowStatus::Running => next.extend(exec_instr(
-                            ctx,
-                            local_prefix,
-                            element,
-                            network,
-                            i,
-                            flow.state,
-                        )),
-                        _ => next.push(flow),
-                    }
-                }
-                flows = next;
-            }
-            flows
-        }
-        Instruction::Allocate {
-            field,
-            width,
-            visibility,
-        } => simple(state, |s| {
-            s.allocate_field(field, *width, *visibility, local_prefix)
-        }),
-        Instruction::Deallocate { field, width } => {
-            simple(state, |s| s.deallocate_field(field, *width, local_prefix))
-        }
-        Instruction::Assign { field, expr } => {
-            let width_hint = state
-                .read_field(field, local_prefix)
-                .map(|s| s.width)
-                .unwrap_or(crate::state::DEFAULT_META_WIDTH);
-            let value = match state.eval_expr(expr, &mut ctx.symbols, width_hint, local_prefix) {
-                Ok(v) => v,
-                Err(e) => return vec![Flow::dropped(state, DropReason::Memory(e.to_string()))],
-            };
-            state.push_trace(TraceEntry::Instruction(format!("Assign({field},{expr})")));
-            simple(state, |s| s.write_field(field, value, local_prefix))
-        }
-        Instruction::CreateTag { name, value } => {
-            let addr = match state.resolve_addr(value) {
-                Ok(a) => a,
-                Err(e) => return vec![Flow::dropped(state, DropReason::Memory(e.to_string()))],
-            };
-            state.create_tag(name.clone(), addr);
-            vec![Flow::running(state)]
-        }
-        Instruction::DestroyTag { name } => simple(state, |s| s.destroy_tag(name)),
-        Instruction::Constrain(cond) => {
-            let lowered = match state.lower_condition(cond, &mut ctx.symbols, local_prefix) {
-                Ok(f) => f,
-                Err(e) => return vec![Flow::dropped(state, DropReason::Memory(e.to_string()))],
-            };
-            state.push_trace(TraceEntry::Instruction(format!("Constrain({cond})")));
-            state.add_constraint(lowered);
-            if ctx.solver.is_unsat_path(state.path_cond()) {
-                let detail = cond.to_string();
-                vec![Flow::dropped(state, DropReason::Unsatisfiable(detail))]
-            } else {
-                vec![Flow::running(state)]
-            }
-        }
-        Instruction::Fail(msg) => {
-            state.push_trace(TraceEntry::Message(msg.clone()));
-            vec![Flow::dropped(state, DropReason::Failed(msg.clone()))]
-        }
-        // The deliberate poison pill: a deterministic panic in both debug and
-        // release builds, simulating a defective model or engine. The panic
-        // is caught by the worker loop and surfaced as
-        // [`EngineError::WorkerPanicked`].
-        Instruction::Abort(msg) => panic!("SEFL Abort: {msg}"),
-        Instruction::If { .. } => {
-            // If-chains (an `If` whose else branch is another `If`) are walked
-            // iteratively: the basic switch/router models of §8.1 nest one `If`
-            // per table entry, and recursing per entry would overflow the
-            // stack on large tables.
-            let mut flows = Vec::new();
-            let mut current = instr;
-            let mut current_state = state;
-            loop {
-                let Instruction::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } = current
-                else {
-                    flows.extend(exec_instr(
-                        ctx,
-                        local_prefix,
-                        element,
-                        network,
-                        current,
-                        current_state,
-                    ));
-                    break;
-                };
-                let lowered =
-                    match current_state.lower_condition(cond, &mut ctx.symbols, local_prefix) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            flows.push(Flow::dropped(
-                                current_state,
-                                DropReason::Memory(e.to_string()),
-                            ));
-                            break;
-                        }
-                    };
-                // Then branch.
-                let mut then_state = current_state.clone();
-                then_state.push_trace(TraceEntry::Instruction(format!("If({cond}) [then]")));
-                then_state.add_constraint(lowered.clone());
-                if ctx.solver.is_unsat_path(then_state.path_cond()) {
-                    flows.push(Flow::dropped(then_state, DropReason::InfeasibleBranch));
-                } else {
-                    flows.extend(exec_instr(
-                        ctx,
-                        local_prefix,
-                        element,
-                        network,
-                        then_branch,
-                        then_state,
-                    ));
-                }
-                // Else branch: continue the walk without recursing.
-                current_state.push_trace(TraceEntry::Instruction(format!("If({cond}) [else]")));
-                current_state.add_constraint(symnet_solver::Formula::not(lowered));
-                if ctx.solver.is_unsat_path(current_state.path_cond()) {
-                    flows.push(Flow::dropped(current_state, DropReason::InfeasibleBranch));
-                    break;
-                }
-                current = else_branch;
-            }
-            flows
-        }
-        Instruction::For { var, pattern, body } => {
-            // Snapshot the matching keys before the first iteration (the loop
-            // body may create or destroy entries).
-            let mut keys: Vec<String> = state
-                .metadata()
-                .map(|(k, _)| k.to_string())
-                .filter_map(|k| {
-                    let visible = k.strip_prefix(local_prefix).unwrap_or(&k);
-                    if visible.starts_with("local:") {
-                        None
-                    } else if crate::state::glob_match(pattern, visible) {
-                        Some(visible.to_string())
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            keys.sort();
-            keys.dedup();
-            let mut flows = vec![Flow::running(state)];
-            for key in keys {
-                let bound = substitute_meta(body, var, &key);
-                let mut next = Vec::with_capacity(flows.len());
-                for flow in flows {
-                    match flow.status {
-                        FlowStatus::Running => next.extend(exec_instr(
-                            ctx,
-                            local_prefix,
-                            element,
-                            network,
-                            &bound,
-                            flow.state,
-                        )),
-                        _ => next.push(flow),
-                    }
-                }
-                flows = next;
-            }
-            flows
-        }
-        Instruction::Forward(port) => {
-            state.push_trace(TraceEntry::Instruction(format!(
-                "Forward(OutputPort({port}))"
-            )));
-            vec![Flow {
-                state,
-                status: FlowStatus::SentTo(*port),
-            }]
-        }
-        Instruction::Fork(ports) => {
-            if ports.is_empty() {
-                return vec![Flow::dropped(state, DropReason::NotForwarded)];
-            }
-            state.push_trace(TraceEntry::Instruction(format!("Fork({ports:?})")));
-            ports
-                .iter()
-                .map(|p| Flow {
-                    state: state.clone(),
-                    status: FlowStatus::SentTo(*p),
-                })
-                .collect()
-        }
-    }
-}
-
-/// Runs a state mutation that may raise a memory-safety error, converting the
-/// error into a dropped flow.
-fn simple(
-    mut state: ExecState,
-    op: impl FnOnce(&mut ExecState) -> Result<(), ExecError>,
-) -> Vec<Flow> {
-    match op(&mut state) {
-        Ok(()) => vec![Flow::running(state)],
-        Err(e) => vec![Flow::dropped(state, DropReason::Memory(e.to_string()))],
-    }
-}
-
-/// Rewrites metadata references named `from` to `to` inside an instruction
-/// tree — how `For` binds its loop variable. Public so concrete replay
-/// interpreters unfold `For` loops with the exact binding semantics of the
-/// symbolic engine.
-pub fn substitute_meta(instr: &Instruction, from: &str, to: &str) -> Instruction {
-    use symnet_sefl::cond::Condition;
-    use symnet_sefl::expr::Expr;
-
-    fn sub_field(f: &FieldRef, from: &str, to: &str) -> FieldRef {
-        match f {
-            FieldRef::Meta(k) if k == from => FieldRef::Meta(to.to_string()),
-            other => other.clone(),
-        }
-    }
-    fn sub_expr(e: &Expr, from: &str, to: &str) -> Expr {
-        match e {
-            Expr::Ref(f) => Expr::Ref(sub_field(f, from, to)),
-            Expr::Add(a, b) => Expr::Add(
-                Box::new(sub_expr(a, from, to)),
-                Box::new(sub_expr(b, from, to)),
-            ),
-            Expr::Sub(a, b) => Expr::Sub(
-                Box::new(sub_expr(a, from, to)),
-                Box::new(sub_expr(b, from, to)),
-            ),
-            Expr::Neg(a) => Expr::Neg(Box::new(sub_expr(a, from, to))),
-            other => other.clone(),
-        }
-    }
-    fn sub_cond(c: &Condition, from: &str, to: &str) -> Condition {
-        match c {
-            Condition::Cmp { op, lhs, rhs } => Condition::Cmp {
-                op: *op,
-                lhs: sub_expr(lhs, from, to),
-                rhs: sub_expr(rhs, from, to),
-            },
-            Condition::Match {
-                field,
-                value,
-                prefix_len,
-                width,
-            } => Condition::Match {
-                field: sub_field(field, from, to),
-                value: *value,
-                prefix_len: *prefix_len,
-                width: *width,
-            },
-            Condition::And(parts) => {
-                Condition::And(parts.iter().map(|p| sub_cond(p, from, to)).collect())
-            }
-            Condition::Or(parts) => {
-                Condition::Or(parts.iter().map(|p| sub_cond(p, from, to)).collect())
-            }
-            Condition::Not(inner) => Condition::Not(Box::new(sub_cond(inner, from, to))),
-            other => other.clone(),
-        }
-    }
-
-    match instr {
-        Instruction::Allocate {
-            field,
-            width,
-            visibility,
-        } => Instruction::Allocate {
-            field: sub_field(field, from, to),
-            width: *width,
-            visibility: *visibility,
-        },
-        Instruction::Deallocate { field, width } => Instruction::Deallocate {
-            field: sub_field(field, from, to),
-            width: *width,
-        },
-        Instruction::Assign { field, expr } => Instruction::Assign {
-            field: sub_field(field, from, to),
-            expr: sub_expr(expr, from, to),
-        },
-        Instruction::Constrain(cond) => Instruction::Constrain(sub_cond(cond, from, to)),
-        Instruction::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => Instruction::If {
-            cond: sub_cond(cond, from, to),
-            then_branch: Box::new(substitute_meta(then_branch, from, to)),
-            else_branch: Box::new(substitute_meta(else_branch, from, to)),
-        },
-        Instruction::For { var, pattern, body } if var != from => Instruction::For {
-            var: var.clone(),
-            pattern: pattern.clone(),
-            body: Box::new(substitute_meta(body, from, to)),
-        },
-        Instruction::Block(instrs) => Instruction::Block(
-            instrs
-                .iter()
-                .map(|i| substitute_meta(i, from, to))
-                .collect(),
-        ),
-        other => other.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::LOCAL_DEQUE_CAP;
     use crate::verify;
     use symnet_sefl::cond::Condition;
     use symnet_sefl::expr::Expr;

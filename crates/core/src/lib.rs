@@ -49,9 +49,11 @@
 
 pub mod engine;
 pub mod error;
+pub mod interp;
 pub mod network;
 pub mod pmap;
 pub mod report;
+pub mod sched;
 pub mod server;
 pub mod service;
 pub mod state;

@@ -51,11 +51,12 @@
 //! ```
 
 use crate::engine::{
-    finalize_report, panic_message, relock, Ctx, ExecConfig, ExecutionReport, PathBudget,
-    PendingPath, RawResult, SchedStats, StealScheduler, SymNet,
+    finalize_report, ExecConfig, ExecutionReport, PathBudget, PendingPath, RawResult, SymNet,
 };
 use crate::error::EngineError;
+use crate::interp::Ctx;
 use crate::network::{ElementId, Network};
+use crate::sched::{panic_message, relock, SchedStats, StealScheduler};
 use crate::state::ExecState;
 use std::collections::VecDeque;
 use std::fmt;

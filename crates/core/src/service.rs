@@ -37,11 +37,11 @@
 //! scheduler counters.
 
 use crate::engine::{
-    finalize_report, panic_message, ExecConfig, ExecutionReport, PathBudget, PendingPath,
-    RawResult, SchedStats, SymNet,
+    finalize_report, ExecConfig, ExecutionReport, PathBudget, PendingPath, RawResult, SymNet,
 };
 use crate::error::EngineError;
 use crate::network::{ElementId, Network};
+use crate::sched::{panic_message, SchedStats};
 use crate::state::ExecState;
 use std::sync::Arc;
 use std::time::Instant;

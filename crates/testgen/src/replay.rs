@@ -18,8 +18,8 @@
 //! `Expr::Symbolic` evaluation maps to the same variable id on both sides.
 
 use crate::{default_value, tracked_fields, ConcretePacket};
-use symnet_core::engine::{local_prefix, substitute_meta};
 use symnet_core::error::ExecError;
+use symnet_core::interp::{local_prefix, substitute_meta};
 use symnet_core::network::{ElementId, Network};
 use symnet_core::state::{ExecState, DEFAULT_META_WIDTH};
 use symnet_core::symbols::VarAllocator;

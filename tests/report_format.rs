@@ -12,12 +12,11 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-use symnet_suite::core::engine::{
-    ExecConfig, ExecutionReport, PathReport, PathStatus, SchedStats, SymNet,
-};
+use symnet_suite::core::engine::{ExecConfig, ExecutionReport, PathReport, PathStatus, SymNet};
 use symnet_suite::core::error::DropReason;
 use symnet_suite::core::network::Network;
 use symnet_suite::core::report::{canonical_report_json_string, report_to_json_string};
+use symnet_suite::core::sched::SchedStats;
 use symnet_suite::core::state::{ExecState, TraceEntry};
 use symnet_suite::core::value::Value;
 use symnet_suite::models::scenarios::{department, DepartmentConfig};
