@@ -28,7 +28,8 @@ fn bench(c: &mut Criterion) {
 
     // Basic model across worker counts: the paper's fork-heavy worst case is
     // where scheduler contention shows, so this sweep is the headline number
-    // for the work-stealing scheduler (1 = sequential loop, 2/8 = parallel).
+    // for the work-stealing scheduler (1 = one worker on the caller's thread,
+    // 2/8 = scoped worker threads).
     let table = MacTable::synthetic(440, 20);
     for threads in [1usize, 2, 8] {
         let mut net = Network::new();

@@ -2,7 +2,7 @@
 //! per-family scenario construction cost, symbolic exploration of the
 //! unmutated scenario, and one full differential fuzz case (build + mutate +
 //! explore + concretize + replay). Fixed seeds and CI-scale sizes keep the
-//! series deterministic for the bench-diff regression gate.
+//! series' work the same from run to run, so two runs compare like for like.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use symnet_core::engine::{ExecConfig, SymNet};

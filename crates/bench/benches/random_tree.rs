@@ -37,8 +37,9 @@ fn bench(c: &mut Criterion) {
     }
 
     // Parallel exploration of the same fork-heavy tree, swept over the
-    // worker counts the determinism suite pins (1 = the sequential loop,
-    // 2 and 8 = the work-stealing scheduler under low and high contention).
+    // worker counts the determinism suite pins (1 = one scheduler worker on
+    // the caller's thread, 2 and 8 = scoped workers under low and high
+    // contention).
     for threads in [1usize, 2, 8] {
         let engine = SymNet::with_config(
             topo.network.clone(),

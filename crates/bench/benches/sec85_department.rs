@@ -38,8 +38,8 @@ fn bench(c: &mut Criterion) {
     });
 
     // Parallel-engine speedup: the same outbound verification at 1 worker
-    // (the legacy sequential loop) vs 2 and 8 workers (the work-stealing
-    // scheduler under low and high contention — the same counts the
+    // (the scheduler on the caller's thread) vs 2 and 8 workers (scoped
+    // threads under low and high contention — the same counts the
     // determinism suite pins). The reports are byte-identical; only the
     // wall clock changes.
     for threads in [1usize, 2, 8] {

@@ -734,7 +734,8 @@ pub fn sec85(access_switches: usize, mac_entries: usize, routes: usize) -> Table
 
     // Work-stealing scheduler counters for the same run (scheduling-dependent
     // and therefore absent from serialized reports — this table is where they
-    // surface; at 1 worker every pop is a local hit by definition).
+    // surface). Roots arrive through the shared injector, which neither
+    // counter tracks, so even one worker does not count every pop.
     rows.push(Row {
         cells: vec![
             "Scheduler (outbound)".into(),
@@ -743,7 +744,7 @@ pub fn sec85(access_switches: usize, mac_entries: usize, routes: usize) -> Table
                 report.sched.local_hits,
                 report.sched.steals,
                 report.sched.overflow_pushes,
-                ExecConfig::default_threads()
+                engine.config().threads
             ),
         ],
     });

@@ -1,32 +1,32 @@
-//! The symbolic executor.
+//! The symbolic explorer.
 //!
 //! [`SymNet::inject`] creates an empty packet, runs the packet-construction
 //! block, delivers the resulting symbolic packet to an input port and then
 //! explores every path through the network: SEFL instructions are interpreted
-//! over [`ExecState`]s, `If`/`Fork` spawn new paths, `Constrain`/`Fail` and
-//! memory-safety violations terminate paths, links move packets between
-//! elements, and the Figure 5 state-inclusion check detects loops.
+//! over [`ExecState`]s ([`crate::interp`]), `If`/`Fork` spawn new paths,
+//! `Constrain`/`Fail` and memory-safety violations terminate paths, links
+//! move packets between elements, and the Figure 5 state-inclusion check
+//! detects loops.
 //!
-//! Distinct symbolic paths are independent, so exploration is parallel by
-//! default, driven by a **work-stealing scheduler** (`StealScheduler`):
-//! each of the [`ExecConfig::threads`] workers owns a bounded LIFO deque it
-//! pushes forked children onto and pops from without contending with anyone;
-//! only when its deque runs dry does it steal a batch of the *oldest* paths —
-//! up to half the victim's deque, from the FIFO end, where the shallowest
-//! forks with the largest subtrees sit — or drain the shared overflow
-//! injector that absorbs local-deque overflow and the injection roots. Each
-//! worker owns a thread-local [`Solver`] whose statistics are merged at the
-//! end, and per-worker [`SchedStats`] count local hits, steals, batch-stolen
-//! paths and overflow pushes.
+//! Distinct symbolic paths are independent, so every run — at any
+//! [`ExecConfig::threads`] — is driven by the **work-stealing scheduler** of
+//! [`crate::sched`]: each worker owns a bounded LIFO deque it pushes forked
+//! children onto and pops from without contending with anyone; only when its
+//! deque runs dry does it drain the shared overflow injector (the injection
+//! roots plus local-deque overflow) or steal a batch of a peer's *oldest*
+//! paths. One worker runs on the caller's thread; more run as scoped threads.
+//! Each worker owns an interpreter context whose solver statistics are
+//! merged at the end, and per-worker [`SchedStats`] count local hits,
+//! steals, batch-stolen paths and overflow pushes.
 //!
-//! Reports stay deterministic no matter how paths migrate between workers —
-//! every emitted path carries its fork lineage (the breadth-first position of
-//! the pending path that emitted it plus the emission index within that
-//! step), and the final report is sorted into exactly the order the
-//! single-threaded engine produces, so the JSON output is byte-identical for
-//! any thread count (the one exception is a run truncated by the
-//! [`ExecConfig::max_paths`] cap, whose exact count is honoured but whose
-//! surviving paths are scheduling-dependent).
+//! Reports stay deterministic no matter which worker runs which path, in
+//! which order — every emitted path carries an `EmitKey` (the fork lineage
+//! of the pending path that emitted it plus the emission index within that
+//! step), and the final report is sorted by it into breadth-first lineage
+//! order, so the JSON output is byte-identical for any thread count (the one
+//! exception is a run truncated by the [`ExecConfig::max_paths`] cap, whose
+//! exact count is honoured but whose surviving paths are
+//! scheduling-dependent).
 //!
 //! Forking is O(1) end-to-end: the path condition is a persistent cons-list
 //! ([`symnet_solver::PathCond`]), the loop-detection history an `Arc`-shared
@@ -34,7 +34,7 @@
 //! [`ExecState`] are persistent too ([`crate::pmap::PMap`],
 //! [`crate::state::Trace`]) — children share their parent's structure instead
 //! of deep-copying it, and the solver reuses the analysis cached on the
-//! shared path-condition prefix ([`Solver::check_path`]).
+//! shared path-condition prefix ([`symnet_solver::Solver::check_path`]).
 
 use crate::error::{DropReason, EngineError};
 use crate::interp::{exec_instr, local_prefix, Ctx, FlowStatus};
@@ -45,7 +45,6 @@ use crate::symbols::VarAllocator;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -53,7 +52,7 @@ use std::time::{Duration, Instant};
 use symnet_sefl::field::FieldRef;
 use symnet_sefl::fields;
 use symnet_sefl::instr::Instruction;
-use symnet_solver::{IntervalSet, Solver, SolverConfig, SolverStats};
+use symnet_solver::{IntervalSet, SolverConfig, SolverStats};
 
 /// Configuration of a symbolic execution run.
 #[derive(Clone, Debug)]
@@ -75,9 +74,9 @@ pub struct ExecConfig {
     /// precisely this many paths (which paths survive truncation is
     /// scheduling-dependent under multiple workers).
     pub max_paths: usize,
-    /// Number of worker threads exploring paths. `1` runs the exact
-    /// single-threaded legacy loop (no queue locking, no thread spawn); the
-    /// default is the machine's available parallelism. As long as the run
+    /// Number of scheduler workers exploring paths. `1` runs the one worker
+    /// on the caller's thread (no thread spawn); more run as scoped threads.
+    /// The default is the machine's available parallelism. As long as the run
     /// stays under [`ExecConfig::max_paths`], the report is byte-identical
     /// for every thread count; a run that hits the cap reports exactly
     /// `max_paths` paths, but which ones is scheduling-dependent (see
@@ -319,8 +318,8 @@ pub(crate) struct PendingPath {
     symbols: VarAllocator,
     /// Breadth-first position of this pending path: the emission index at
     /// every fork since injection. Comparing `(lineage.len(), lineage)`
-    /// lexicographically reproduces the FIFO processing order of the
-    /// single-threaded engine.
+    /// lexicographically orders pending paths breadth-first, whatever order
+    /// the scheduler actually processed them in.
     lineage: Vec<u32>,
 }
 
@@ -346,10 +345,10 @@ impl PendingPath {
 
 /// Deterministic sort key of one emitted path: the lineage of the pending
 /// path whose processing emitted it, plus the emission index within that
-/// processing step. Ordering by `(parent depth, parent lineage, index)` is
-/// exactly the emission order of the sequential engine (pending paths are
-/// processed in breadth-first lineage order, and a step's emissions are
-/// ordered by index).
+/// processing step. The order is `(parent depth, parent lineage, index)`:
+/// shallower parents first, parents of equal depth by their fork indices,
+/// and a step's emissions by index. It is defined on the keys alone, so no
+/// processing order — breadth-first, depth-first or stolen — can change it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct EmitKey {
     parent: Vec<u32>,
@@ -495,22 +494,15 @@ pub(crate) struct Construction {
     pub(crate) solver_stats: SolverStats,
 }
 
-/// The output of an exploration phase: terminated paths, the element-entry
-/// checkpoints collected for the resident service (empty unless requested)
-/// and the merged per-worker statistics.
+/// The output of an exploration phase — of one worker, or of all of them
+/// merged: terminated paths, the element-entry checkpoints collected for the
+/// resident service (empty unless requested) and the statistics.
+#[derive(Default)]
 pub(crate) struct Exploration {
     pub(crate) results: Vec<RawResult>,
     pub(crate) checkpoints: Vec<PendingPath>,
     pub(crate) solver_stats: SolverStats,
     pub(crate) sched: SchedStats,
-}
-
-/// What one worker thread hands back when the run drains.
-struct WorkerOutput {
-    results: Vec<RawResult>,
-    checkpoints: Vec<PendingPath>,
-    solver_stats: SolverStats,
-    sched: SchedStats,
 }
 
 /// The SymNet symbolic execution engine.
@@ -618,10 +610,7 @@ impl SymNet {
         packet: &Instruction,
         budget: &PathBudget,
     ) -> Result<Construction, EngineError> {
-        let mut ctx = Ctx {
-            solver: Solver::with_config(self.config.solver),
-            symbols: VarAllocator::new(),
-        };
+        let mut ctx = Ctx::new(self.config.solver);
         let mut results: Vec<RawResult> = Vec::new();
         let mut roots: Vec<PendingPath> = Vec::new();
         let prefix = local_prefix(&self.network, element);
@@ -681,12 +670,20 @@ impl SymNet {
         })
     }
 
-    /// Explores every path reachable from `roots`: single-threaded drains a
-    /// plain FIFO (the legacy loop), multi-threaded runs the work-stealing
-    /// scheduler with per-worker solver contexts. Both produce the same set
-    /// of raw results (and, when `collect_checkpoints` is set, one O(1)
-    /// [`PendingPath`] checkpoint per processed element entry — the resident
-    /// service's re-verification roots).
+    /// Explores every path reachable from `roots` with the work-stealing
+    /// scheduler, one solver context per worker, and returns the raw results
+    /// (plus, when `collect_checkpoints` is set, one O(1) [`PendingPath`]
+    /// checkpoint per processed element entry — the resident service's
+    /// re-verification roots).
+    ///
+    /// One worker runs on the caller's thread; more run as scoped threads.
+    /// A panic inside a processing step is caught by the worker itself, which
+    /// records it in the scheduler and stops the run; every peer then drains
+    /// and returns normally, and the first panic comes back as
+    /// [`EngineError::WorkerPanicked`]. A panic *outside* that catch (an
+    /// engine bug in the scheduler protocol itself) unwinds the worker; its
+    /// `PanicGuard` stops the run so peers exit, and the unwind is mapped to
+    /// the same `EngineError` instead of cascading.
     pub(crate) fn explore(
         &self,
         roots: Vec<PendingPath>,
@@ -694,127 +691,41 @@ impl SymNet {
         collect_checkpoints: bool,
     ) -> Result<Exploration, EngineError> {
         let workers = self.config.threads.max(1);
-        if workers == 1 {
-            let mut ctx = Ctx {
-                solver: Solver::with_config(self.config.solver),
-                symbols: VarAllocator::new(),
-            };
-            let mut results = Vec::new();
-            let mut checkpoints = Vec::new();
-            let mut sched = SchedStats::default();
-            self.drive_sequential(
-                &mut ctx,
-                budget,
-                roots,
-                collect_checkpoints,
-                &mut results,
-                &mut checkpoints,
-                &mut sched,
-            )?;
-            Ok(Exploration {
-                results,
-                checkpoints,
-                solver_stats: ctx.solver.into_stats(),
-                sched,
-            })
-        } else {
-            self.drive_parallel(workers, budget, roots, collect_checkpoints)
-        }
-    }
-
-    /// The single-threaded driver: the legacy FIFO loop (every pop counts as
-    /// a local hit — there is nobody to steal from).
-    #[allow(clippy::too_many_arguments)]
-    fn drive_sequential(
-        &self,
-        ctx: &mut Ctx,
-        budget: &PathBudget,
-        roots: Vec<PendingPath>,
-        collect_checkpoints: bool,
-        results: &mut Vec<RawResult>,
-        checkpoints: &mut Vec<PendingPath>,
-        sched: &mut SchedStats,
-    ) -> Result<(), EngineError> {
-        let mut worklist: VecDeque<PendingPath> = VecDeque::from(roots);
-        let mut children: Vec<PendingPath> = Vec::new();
-        while let Some(pending) = worklist.pop_front() {
-            if budget.exhausted() {
-                break;
-            }
-            sched.local_hits += 1;
-            if collect_checkpoints {
-                checkpoints.push(pending.clone());
-            }
-            catch_unwind(AssertUnwindSafe(|| {
-                self.process_pending(ctx, budget, pending, results, &mut children)
-            }))
-            .map_err(|payload| EngineError::WorkerPanicked {
-                message: panic_message(payload.as_ref()),
-            })?;
-            worklist.extend(children.drain(..));
-        }
-        Ok(())
-    }
-
-    /// The multi-threaded driver: `workers` scoped threads run the
-    /// work-stealing scheduler; each owns a solver whose statistics — and
-    /// scheduler counters — are merged into the returned exploration.
-    ///
-    /// A panic inside a processing step is caught by the worker itself, which
-    /// records it in the scheduler and stops the run; every peer then drains
-    /// and joins normally, and the first panic comes back as
-    /// [`EngineError::WorkerPanicked`]. A panic *outside* the catch (an
-    /// engine bug in the scheduler protocol itself) still unwinds the worker
-    /// thread; the `PanicGuard` stops the run so peers exit, and the join
-    /// error is mapped to the same `EngineError` instead of cascading.
-    fn drive_parallel(
-        &self,
-        workers: usize,
-        budget: &PathBudget,
-        roots: Vec<PendingPath>,
-        collect_checkpoints: bool,
-    ) -> Result<Exploration, EngineError> {
         let sched = StealScheduler::new(workers, roots);
-        let joined: Vec<Result<WorkerOutput, String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|me| {
-                    let sched = &sched;
-                    scope.spawn(move || self.worker(sched, me, budget, collect_checkpoints))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().map_err(|payload| panic_message(payload.as_ref())))
-                .collect()
-        });
+        let run = |me: usize| self.worker(&sched, me, budget, collect_checkpoints);
+        let joined: Vec<std::thread::Result<Exploration>> = if workers == 1 {
+            vec![catch_unwind(AssertUnwindSafe(|| run(0)))]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|me| scope.spawn(move || run(me)))
+                    .collect();
+                handles.into_iter().map(|h| h.join()).collect()
+            })
+        };
         let mut escaped_panic: Option<String> = None;
-        let mut outputs: Vec<WorkerOutput> = Vec::new();
+        let mut exploration = Exploration::default();
         for worker in joined {
             match worker {
-                Ok(output) => outputs.push(output),
-                Err(message) => escaped_panic = escaped_panic.or(Some(message)),
+                Ok(output) => {
+                    exploration.results.extend(output.results);
+                    exploration.checkpoints.extend(output.checkpoints);
+                    exploration.solver_stats.merge(&output.solver_stats);
+                    exploration.sched.merge(&output.sched);
+                }
+                Err(payload) => {
+                    escaped_panic.get_or_insert_with(|| panic_message(payload.as_ref()));
+                }
             }
         }
         if let Some(message) = sched.take_panic().or(escaped_panic) {
             return Err(EngineError::WorkerPanicked { message });
         }
-        let mut exploration = Exploration {
-            results: Vec::new(),
-            checkpoints: Vec::new(),
-            solver_stats: SolverStats::default(),
-            sched: SchedStats::default(),
-        };
-        for output in outputs {
-            exploration.results.extend(output.results);
-            exploration.checkpoints.extend(output.checkpoints);
-            exploration.solver_stats.merge(&output.solver_stats);
-            exploration.sched.merge(&output.sched);
-        }
         Ok(exploration)
     }
 
     /// One worker: pop pending paths (own deque first, then the injector,
-    /// then stealing), process them with a thread-local context, publish
+    /// then stealing), process them with the worker's own context, publish
     /// forked children onto the own deque. A panicking step is caught here,
     /// recorded in the scheduler and ends this worker's loop.
     fn worker(
@@ -823,13 +734,12 @@ impl SymNet {
         me: usize,
         budget: &PathBudget,
         collect_checkpoints: bool,
-    ) -> WorkerOutput {
+    ) -> Exploration {
         // Backstop for panics that escape the per-step catch below (a bug in
         // the scheduler protocol itself): without it, the unwound worker's
         // in-flight slot would never be retired and every peer would wait
         // forever for `outstanding` to drain. The guard stops the scheduler
-        // on unwind so peers exit; the join error is then surfaced by
-        // `drive_parallel`.
+        // on unwind so peers exit; the unwind is then surfaced by `explore`.
         struct PanicGuard<'a> {
             sched: &'a StealScheduler<PendingPath>,
             armed: bool,
@@ -843,10 +753,7 @@ impl SymNet {
         }
         let mut guard = PanicGuard { sched, armed: true };
 
-        let mut ctx = Ctx {
-            solver: Solver::with_config(self.config.solver),
-            symbols: VarAllocator::new(),
-        };
+        let mut ctx = Ctx::new(self.config.solver);
         let mut results: Vec<RawResult> = Vec::new();
         let mut checkpoints: Vec<PendingPath> = Vec::new();
         let mut children: Vec<PendingPath> = Vec::new();
@@ -875,7 +782,7 @@ impl SymNet {
             }
         }
         guard.armed = false;
-        WorkerOutput {
+        Exploration {
             results,
             checkpoints,
             solver_stats: ctx.solver.into_stats(),
@@ -885,7 +792,7 @@ impl SymNet {
 
     /// Processes one path arrival at an element input port, emitting
     /// terminated paths and forked children into the caller's buffers. This
-    /// is the unit of work of both the per-run drivers above and the serving
+    /// is the unit of work of both the per-run explorer above and the serving
     /// subsystem's long-lived pool ([`crate::server`]).
     pub(crate) fn process_pending(
         &self,
@@ -1083,8 +990,8 @@ fn snapshot_included(old: &[Option<IntervalSet>], new: &[Option<IntervalSet>]) -
     comparable
 }
 
-/// Sorts raw results into the deterministic report order (fork lineage — the
-/// emission order of the sequential engine), assigns sequential ids and wraps
+/// Sorts raw results into the deterministic report order ([`EmitKey`]:
+/// breadth-first fork lineage), assigns sequential ids and wraps
 /// everything into an [`ExecutionReport`]. Shared by [`SymNet::try_inject`]
 /// and the resident service, which merges kept pre-delta results with freshly
 /// re-explored ones before finalizing.
@@ -1413,17 +1320,12 @@ mod tests {
             net.add_link(a, port, b, 0);
         }
 
-        // Sequential: every pop is a local hit, nothing is stolen or spilled.
-        let engine = SymNet::with_config(net.clone(), ExecConfig::default().with_threads(1));
-        let sequential = engine.inject(a, 0, &symbolic_tcp_packet());
-        assert_eq!(sequential.sched.local_hits as usize, 1 + fan_out);
-        assert_eq!(sequential.sched.steals, 0);
-        assert_eq!(sequential.sched.overflow_pushes, 0);
-
-        // Parallel: the root arrives via the injector (uncounted), the
-        // children via local pops or steals; the fan-out step overflows the
-        // bounded deque by exactly `fan_out - LOCAL_DEQUE_CAP`.
-        for threads in [2usize, 8] {
+        // At every worker count the root arrives via the injector
+        // (uncounted), the children via local pops or steals, and the fan-out
+        // step overflows the bounded deque by exactly
+        // `fan_out - LOCAL_DEQUE_CAP`.
+        let mut reference: Option<ExecutionReport> = None;
+        for threads in [1usize, 2, 8] {
             let engine =
                 SymNet::with_config(net.clone(), ExecConfig::default().with_threads(threads));
             let report = engine.inject(a, 0, &symbolic_tcp_packet());
@@ -1440,9 +1342,13 @@ mod tests {
                 LOCAL_DEQUE_CAP,
                 "deque-resident children at {threads} threads"
             );
+            if threads == 1 {
+                assert_eq!(report.sched.steals, 0, "a lone worker has no victim");
+            }
             // Scheduling never changes the report itself.
-            assert_eq!(report.path_count(), sequential.path_count());
-            for (x, y) in sequential.paths.iter().zip(report.paths.iter()) {
+            let reference = reference.get_or_insert_with(|| report.clone());
+            assert_eq!(report.path_count(), reference.path_count());
+            for (x, y) in reference.paths.iter().zip(report.paths.iter()) {
                 assert_eq!(x.status, y.status);
                 assert_eq!(x.state, y.state);
             }

@@ -79,7 +79,7 @@ impl std::error::Error for ExecError {}
 /// analysis: no report is produced.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineError {
-    /// A worker thread (or the single-threaded driver) panicked while
+    /// A scheduler worker (on its own thread or the caller's) panicked while
     /// processing a path — a defect in a model or in the engine itself. The
     /// engine catches the first panic, stops the scheduler, drains the
     /// remaining workers cleanly and surfaces the panic message here instead

@@ -45,8 +45,8 @@ impl Flow {
 }
 
 /// Mutable context used by the interpreter while processing one pending path.
-/// Workers own one context each — the engine's scoped workers for the length
-/// of a run, the serving subsystem's pool workers ([`crate::server`]) for the
+/// Workers own one context each — the engine's scheduler workers for the
+/// length of a run, the serving subsystem's pool workers ([`crate::server`]) for the
 /// life of the pool. The solver in it only accumulates statistics; every cache
 /// it consults lives on the shared path-condition nodes or is process-wide, so
 /// which worker runs a step never changes what that step finds cached.

@@ -11,10 +11,11 @@ use std::time::Duration;
 /// Work-stealing scheduler counters for one run, merged across workers.
 ///
 /// Excluded from serialized reports (`#[serde(skip)]` on
-/// [`crate::engine::ExecutionReport::sched`], absent from the JSON rendering) for the same
-/// reason as the solver's cache-layer counters: they are measurements of how
-/// a run went (which worker pops which path is scheduling-dependent), not of
-/// what was asked, and reports must stay byte-identical across thread counts.
+/// [`crate::engine::ExecutionReport::sched`], absent from the JSON rendering)
+/// for the same reason as the solver's cache-layer counters: they are
+/// measurements of how a run went (which worker pops which path is
+/// scheduling-dependent), not of what was asked, and reports must stay
+/// byte-identical across thread counts.
 /// The sec85 table and the bench harness print them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
@@ -48,7 +49,7 @@ impl SchedStats {
 /// peers without waiting to be robbed.
 pub(crate) const LOCAL_DEQUE_CAP: usize = 256;
 
-/// The work-stealing scheduler of the parallel driver — generic over the work
+/// The work-stealing scheduler of every exploration — generic over the work
 /// item so the serving subsystem ([`crate::server`]) can run the same protocol
 /// over query-tagged paths in a long-lived pool.
 ///

@@ -18,7 +18,7 @@
 //! * Query execution **fans out onto a shared work-stealing pool**: the same
 //!   scheduler protocol as the per-run engine (per-worker LIFO deques, FIFO
 //!   steal-half batching, overflow injector — see
-//!   `engine::StealScheduler`), run in persistent mode so path work from
+//!   `sched::StealScheduler`), run in persistent mode so path work from
 //!   different queries interleaves on the same long-lived workers. Each unit
 //!   of work is a [`PendingPath`](crate::engine) tagged with its query, and
 //!   emissions are routed to per-query collectors.
@@ -27,7 +27,7 @@
 //!   per-query budget makes `max_paths` exact, and the final report is
 //!   assembled by the same `finalize_report`. (Solver and scheduler counters
 //!   are scheduling-dependent and excluded from canonical reports, exactly as
-//!   in the multi-threaded engine.)
+//!   in the per-run engine.)
 //! * Queries may carry a **deadline**; cancellation is cooperative at
 //!   checkpoint granularity (each element-entry job checks the flag before
 //!   running), and a cancelled query's remaining jobs drain without being

@@ -58,6 +58,10 @@ fn assert_golden(name: &str, text: &str) {
     }
 }
 
+/// The worker counts every exploration golden is rendered at: one worker on
+/// the caller's thread, and enough to steal. Both must produce the same file.
+const WORKERS: [usize; 2] = [1, 8];
+
 /// Both renderings of one report, timing fields zeroed.
 fn assert_golden_pair(name: &str, mut report: ExecutionReport, network: &Network) {
     report.wall_time = Duration::ZERO;
@@ -79,17 +83,19 @@ fn sec85_outbound_matches_golden() {
         mac_entries: 24,
         routes: 8,
     });
-    let engine = SymNet::with_config(
-        net,
-        ExecConfig {
-            max_hops: 32,
-            ..ExecConfig::default().with_threads(1)
-        },
-    );
     let pkt = Instruction::block(vec![symbolic_tcp_packet(), symbolic_options_metadata()]);
-    let report = engine.inject(topo.office_switch, 0, &pkt);
-    assert!(report.delivered().count() > 0);
-    assert_golden_pair("sec85_outbound", report, engine.network());
+    for threads in WORKERS {
+        let engine = SymNet::with_config(
+            net.clone(),
+            ExecConfig {
+                max_hops: 32,
+                ..ExecConfig::default().with_threads(threads)
+            },
+        );
+        let report = engine.inject(topo.office_switch, 0, &pkt);
+        assert!(report.delivered().count() > 0);
+        assert_golden_pair("sec85_outbound", report, engine.network());
+    }
 }
 
 #[test]
@@ -110,22 +116,24 @@ fn tunnel_nat_chain_matches_golden() {
         size: 2,
         entries: 4,
     });
-    let engine = SymNet::with_config(
-        scenario.network,
-        ExecConfig {
-            max_hops: scenario.max_hops,
-            ..ExecConfig::default().with_threads(1)
-        },
-    );
-    let report = engine.inject(scenario.inject_at, scenario.inject_port, &scenario.packet);
-    assert!(
-        report
-            .paths
-            .iter()
-            .any(|p| p.state.metadata().next().is_some()),
-        "the NAT stages must leave metadata behind"
-    );
-    assert_golden_pair("tunnel_nat_chain", report, engine.network());
+    for threads in WORKERS {
+        let engine = SymNet::with_config(
+            scenario.network.clone(),
+            ExecConfig {
+                max_hops: scenario.max_hops,
+                ..ExecConfig::default().with_threads(threads)
+            },
+        );
+        let report = engine.inject(scenario.inject_at, scenario.inject_port, &scenario.packet);
+        assert!(
+            report
+                .paths
+                .iter()
+                .any(|p| p.state.metadata().next().is_some()),
+            "the NAT stages must leave metadata behind"
+        );
+        assert_golden_pair("tunnel_nat_chain", report, engine.network());
+    }
 }
 
 #[test]
@@ -144,11 +152,13 @@ fn dropped_and_unconstrained_paths_match_golden() {
         ),
     ));
     net.add_link(tap, 0, filter, 0);
-    let engine = SymNet::with_config(net, ExecConfig::default().with_threads(1));
-    let report = engine.inject(tap, 0, &symbolic_tcp_packet());
-    assert!(report.dropped().count() > 0);
-    assert!(report.paths.iter().any(|p| p.state.path_cond().is_empty()));
-    assert_golden_pair("dropped_unconstrained", report, engine.network());
+    for threads in WORKERS {
+        let engine = SymNet::with_config(net.clone(), ExecConfig::default().with_threads(threads));
+        let report = engine.inject(tap, 0, &symbolic_tcp_packet());
+        assert!(report.dropped().count() > 0);
+        assert!(report.paths.iter().any(|p| p.state.path_cond().is_empty()));
+        assert_golden_pair("dropped_unconstrained", report, engine.network());
+    }
 }
 
 /// Text with every class of byte the escaper treats specially: the two
