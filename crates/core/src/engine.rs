@@ -46,7 +46,7 @@ use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symnet_sefl::field::FieldRef;
@@ -388,17 +388,29 @@ pub(crate) struct RawResult {
 
 /// The shared path budget enforcing [`ExecConfig::max_paths`] exactly: every
 /// reported path reserves one slot atomically *before* it is recorded, so no
-/// interleaving of workers can over-produce.
+/// interleaving of workers can over-produce. An optional deadline ends the
+/// run the same way: once it has passed, the budget reads as exhausted at the
+/// next element entry and remembers that it [`expired`](PathBudget::expired).
 pub(crate) struct PathBudget {
     reserved: AtomicUsize,
     cap: usize,
+    deadline: Option<Instant>,
+    expired: AtomicBool,
 }
 
 impl PathBudget {
     pub(crate) fn new(cap: usize) -> Self {
+        PathBudget::with_deadline(cap, None)
+    }
+
+    /// A budget of `cap` paths that also runs out at `deadline` (`None`: no
+    /// deadline).
+    pub(crate) fn with_deadline(cap: usize, deadline: Option<Instant>) -> Self {
         PathBudget {
             reserved: AtomicUsize::new(0),
             cap,
+            deadline,
+            expired: AtomicBool::new(false),
         }
     }
 
@@ -412,9 +424,23 @@ impl PathBudget {
             .is_ok()
     }
 
-    /// True once every slot is taken (exploration can stop).
-    pub(crate) fn exhausted(&self) -> bool {
+    /// True once the deadline has passed or every slot is taken
+    /// (exploration can stop).
+    fn exhausted(&self) -> bool {
+        if self
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+        {
+            self.expired.store(true, AtomicOrdering::Relaxed);
+            return true;
+        }
         self.reserved.load(AtomicOrdering::Relaxed) >= self.cap
+    }
+
+    /// True if the deadline stopped the run before it had explored every
+    /// path.
+    pub(crate) fn expired(&self) -> bool {
+        self.expired.load(AtomicOrdering::Relaxed)
     }
 }
 
@@ -484,19 +510,10 @@ impl<'a> StepSink<'a> {
     }
 }
 
-/// The output of the packet-construction phase of an injection: the root
-/// pending paths, any paths that terminated during construction, the
-/// post-construction injected state and the construction solver's counters.
-pub(crate) struct Construction {
-    pub(crate) results: Vec<RawResult>,
-    pub(crate) roots: Vec<PendingPath>,
-    pub(crate) injected: ExecState,
-    pub(crate) solver_stats: SolverStats,
-}
-
-/// The output of an exploration phase — of one worker, or of all of them
-/// merged: terminated paths, the element-entry checkpoints collected for the
-/// resident service (empty unless requested) and the statistics.
+/// The output of an exploration phase — of one worker, of all of them
+/// merged, or of a whole [`SymNet::run`] including construction: terminated
+/// paths, the element-entry checkpoints collected for the resident service
+/// (empty unless requested) and the statistics.
 #[derive(Default)]
 pub(crate) struct Exploration {
     pub(crate) results: Vec<RawResult>,
@@ -582,34 +599,34 @@ impl SymNet {
     ) -> Result<ExecutionReport, EngineError> {
         let start = Instant::now();
         let budget = PathBudget::new(self.config.max_paths);
-        let construction = self.construct_roots(element, input_port, packet, &budget)?;
-        let exploration = self.explore(construction.roots, &budget, false)?;
-        let mut results = construction.results;
-        results.extend(exploration.results);
-        let mut solver_stats = exploration.solver_stats;
-        solver_stats.merge(&construction.solver_stats);
+        let (exploration, injected) = self.run(element, input_port, packet, &budget, false)?;
         Ok(finalize_report(
-            results,
-            construction.injected,
-            solver_stats,
+            exploration.results,
+            injected,
+            exploration.solver_stats,
             exploration.sched,
             start,
         ))
     }
 
-    /// Builds the symbolic packet in the context of the injection element and
-    /// turns the surviving construction flows into root pending paths.
+    /// Runs one injection without finalizing it: builds the symbolic packet
+    /// in the context of the injection element, turns the surviving
+    /// construction flows into root pending paths and explores them
+    /// ([`SymNet::explore`]). The returned exploration holds every
+    /// terminated path (construction's included) and the whole run's solver
+    /// counters; the state is the post-construction injected packet.
     ///
-    /// This runs on the caller's thread; every root path then starts from a
-    /// clone of the post-construction allocator, so fresh variables allocated
-    /// later are a function of the path alone.
-    pub(crate) fn construct_roots(
+    /// Construction runs on the caller's thread; every root path then starts
+    /// from a clone of the post-construction allocator, so fresh variables
+    /// allocated later are a function of the path alone.
+    pub(crate) fn run(
         &self,
         element: ElementId,
         input_port: usize,
         packet: &Instruction,
         budget: &PathBudget,
-    ) -> Result<Construction, EngineError> {
+        collect_checkpoints: bool,
+    ) -> Result<(Exploration, ExecState), EngineError> {
         let mut ctx = Ctx::new(self.config.solver);
         let mut results: Vec<RawResult> = Vec::new();
         let mut roots: Vec<PendingPath> = Vec::new();
@@ -662,12 +679,10 @@ impl SymNet {
                 }
             }
         }
-        Ok(Construction {
-            results,
-            roots,
-            injected,
-            solver_stats: ctx.solver.into_stats(),
-        })
+        let mut exploration = self.explore(roots, budget, collect_checkpoints)?;
+        exploration.results.append(&mut results);
+        exploration.solver_stats.merge(&ctx.solver.into_stats());
+        Ok((exploration, injected))
     }
 
     /// Explores every path reachable from `roots` with the work-stealing
@@ -730,7 +745,7 @@ impl SymNet {
     /// recorded in the scheduler and ends this worker's loop.
     fn worker(
         &self,
-        sched: &StealScheduler<PendingPath>,
+        sched: &StealScheduler,
         me: usize,
         budget: &PathBudget,
         collect_checkpoints: bool,
@@ -741,7 +756,7 @@ impl SymNet {
         // forever for `outstanding` to drain. The guard stops the scheduler
         // on unwind so peers exit; the unwind is then surfaced by `explore`.
         struct PanicGuard<'a> {
-            sched: &'a StealScheduler<PendingPath>,
+            sched: &'a StealScheduler,
             armed: bool,
         }
         impl Drop for PanicGuard<'_> {
@@ -791,10 +806,9 @@ impl SymNet {
     }
 
     /// Processes one path arrival at an element input port, emitting
-    /// terminated paths and forked children into the caller's buffers. This
-    /// is the unit of work of both the per-run explorer above and the serving
-    /// subsystem's long-lived pool ([`crate::server`]).
-    pub(crate) fn process_pending(
+    /// terminated paths and forked children into the caller's buffers: the
+    /// unit of work of the explorer above.
+    fn process_pending(
         &self,
         ctx: &mut Ctx,
         budget: &PathBudget,
@@ -1024,6 +1038,7 @@ pub(crate) fn finalize_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::canonical_report_json_string;
     use crate::sched::LOCAL_DEQUE_CAP;
     use crate::verify;
     use symnet_sefl::cond::Condition;
@@ -1492,6 +1507,36 @@ mod tests {
         let message = panic_message(caught.expect_err("inject must panic").as_ref());
         assert!(message.contains("engine worker panicked"), "{message}");
         assert!(message.contains("SEFL Abort: boom"), "{message}");
+    }
+
+    #[test]
+    fn deadline_stops_a_run_at_its_first_element_entry() {
+        let mut net = Network::new();
+        let a = net.add_element(figure4_element());
+        let engine = SymNet::new(net);
+        let packet = symbolic_tcp_packet();
+        let passed = PathBudget::with_deadline(usize::MAX, Some(Instant::now()));
+        let (exploration, _) = engine.run(a, 0, &packet, &passed, true).unwrap();
+        assert!(passed.expired());
+        assert!(exploration.checkpoints.is_empty(), "no element entered");
+
+        // A deadline that never comes changes nothing in the report.
+        let far = Instant::now().checked_add(Duration::from_secs(3600));
+        let budget = PathBudget::with_deadline(usize::MAX, far);
+        let (exploration, injected) = engine.run(a, 0, &packet, &budget, false).unwrap();
+        assert!(!budget.expired());
+        let report = finalize_report(
+            exploration.results,
+            injected,
+            exploration.solver_stats,
+            exploration.sched,
+            Instant::now(),
+        );
+        let solo = engine.inject(a, 0, &packet);
+        assert_eq!(
+            canonical_report_json_string(&report, engine.network()),
+            canonical_report_json_string(&solo, engine.network())
+        );
     }
 
     #[test]

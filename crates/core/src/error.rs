@@ -83,7 +83,7 @@ pub enum EngineError {
     /// processing a path — a defect in a model or in the engine itself. The
     /// engine catches the first panic, stops the scheduler, drains the
     /// remaining workers cleanly and surfaces the panic message here instead
-    /// of cascading poisoned-mutex panics through the whole pool.
+    /// of cascading poisoned-mutex panics through every other worker.
     WorkerPanicked {
         /// The panic payload, rendered as text (`"<non-string panic>"` when
         /// the payload is neither `&str` nor `String`).

@@ -45,11 +45,11 @@ impl Flow {
 }
 
 /// Mutable context used by the interpreter while processing one pending path.
-/// Workers own one context each — the engine's scheduler workers for the
-/// length of a run, the serving subsystem's pool workers ([`crate::server`]) for the
-/// life of the pool. The solver in it only accumulates statistics; every cache
-/// it consults lives on the shared path-condition nodes or is process-wide, so
-/// which worker runs a step never changes what that step finds cached.
+/// Each scheduler worker owns one context for the length of a run (packet
+/// construction uses one more). The solver in it only accumulates
+/// statistics; every cache it consults lives on the shared path-condition
+/// nodes or is process-wide, so which worker runs a step never changes what
+/// that step finds cached.
 pub(crate) struct Ctx {
     pub(crate) solver: Solver,
     pub(crate) symbols: VarAllocator,

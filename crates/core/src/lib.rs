@@ -22,8 +22,9 @@
 //! * [`service`] keeps verification *resident*: standing queries absorb rule
 //!   deltas and re-verify only invalidated path suffixes.
 //! * [`server`] serves many concurrent queries against a mutating network:
-//!   epoch-pinned snapshots, a bounded admission queue and a persistent
-//!   work-stealing pool shared by all in-flight queries.
+//!   a bounded admission queue pins each query to an epoch snapshot, and
+//!   worker threads run the queries one at a time each, through the same
+//!   engine driver as a solo run.
 //!
 //! ```
 //! use symnet_core::engine::SymNet;

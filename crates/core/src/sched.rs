@@ -1,7 +1,7 @@
-//! The work-stealing scheduler shared by the per-run explorer
-//! ([`crate::engine`]) and the serving subsystem's long-lived pool
-//! ([`crate::server`]), with its counters ([`SchedStats`]).
+//! The work-stealing scheduler of every exploration ([`crate::engine`]),
+//! with its counters ([`SchedStats`]).
 
+use crate::engine::PendingPath;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
@@ -49,9 +49,7 @@ impl SchedStats {
 /// peers without waiting to be robbed.
 pub(crate) const LOCAL_DEQUE_CAP: usize = 256;
 
-/// The work-stealing scheduler of every exploration — generic over the work
-/// item so the serving subsystem ([`crate::server`]) can run the same protocol
-/// over query-tagged paths in a long-lived pool.
+/// The work-stealing scheduler of every exploration.
 ///
 /// Topology: one bounded deque per worker plus one shared overflow injector.
 /// The owner pushes and pops at the *back* of its deque (LIFO — depth-first
@@ -68,16 +66,11 @@ pub(crate) const LOCAL_DEQUE_CAP: usize = 256;
 /// pop) lets an idle worker decide, under the sleep lock, whether anything is
 /// worth re-scanning; producers bump it before taking the same lock to
 /// notify, so a sleeper can never miss a wakeup.
-///
-/// A **persistent** scheduler (the server pool) never terminates on
-/// `outstanding == 0`: an empty pool just means no query is in flight, so
-/// idle workers sleep until [`StealScheduler::inject`] publishes the roots of
-/// a newly admitted query or [`StealScheduler::stop`] shuts the pool down.
-pub(crate) struct StealScheduler<T> {
+pub(crate) struct StealScheduler {
     /// One bounded deque per worker.
-    locals: Vec<Mutex<VecDeque<T>>>,
+    locals: Vec<Mutex<VecDeque<PendingPath>>>,
     /// Shared overflow injector: the injection roots plus local overflow.
-    injector: Mutex<VecDeque<T>>,
+    injector: Mutex<VecDeque<PendingPath>>,
     /// Queued + in-flight paths; 0 means no work can ever appear again.
     outstanding: AtomicUsize,
     /// Paths currently sitting in some queue (conservative: incremented
@@ -92,17 +85,14 @@ pub(crate) struct StealScheduler<T> {
     /// Sleep coordination for idle workers.
     idle: Mutex<()>,
     ready: Condvar,
-    /// Long-lived pool mode: an empty scheduler parks its workers instead of
-    /// terminating them (see the type docs).
-    persistent: bool,
 }
 
 /// Locks a mutex, tolerating poison: the engine catches worker panics and
 /// shuts the run down itself, so a poisoned lock only means "some worker
 /// unwound mid-step" — the protected data (queues of pending paths, the panic
 /// slot) is still structurally valid and the remaining workers must keep
-/// draining instead of cascading `expect("poisoned")` panics through the
-/// whole pool.
+/// draining instead of cascading `expect("poisoned")` panics through every
+/// other worker.
 pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -119,8 +109,8 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-impl<T> StealScheduler<T> {
-    pub(crate) fn new(workers: usize, roots: Vec<T>) -> Self {
+impl StealScheduler {
+    pub(crate) fn new(workers: usize, roots: Vec<PendingPath>) -> Self {
         let count = roots.len();
         StealScheduler {
             locals: (0..workers)
@@ -133,37 +123,13 @@ impl<T> StealScheduler<T> {
             panic: Mutex::new(None),
             idle: Mutex::new(()),
             ready: Condvar::new(),
-            persistent: false,
         }
-    }
-
-    /// An empty long-lived pool: workers park when no work exists instead of
-    /// terminating, and only [`StealScheduler::stop`] ends them. Work arrives
-    /// later through [`StealScheduler::inject`].
-    pub(crate) fn persistent(workers: usize) -> Self {
-        StealScheduler {
-            persistent: true,
-            ..StealScheduler::new(workers, Vec::new())
-        }
-    }
-
-    /// Publishes externally produced work (the root paths of a newly admitted
-    /// query) onto the shared injector and wakes the pool.
-    pub(crate) fn inject(&self, items: Vec<T>) {
-        if items.is_empty() {
-            return;
-        }
-        self.outstanding
-            .fetch_add(items.len(), AtomicOrdering::SeqCst);
-        self.queued.fetch_add(items.len(), AtomicOrdering::SeqCst);
-        relock(&self.injector).extend(items);
-        self.wake_all();
     }
 
     /// Blocks until a pending path is available for worker `me`; `None` means
     /// the run is over (every queue drained with nothing in flight, or
-    /// stopped by the path budget / pool shutdown).
-    pub(crate) fn pop(&self, me: usize, stats: &mut SchedStats) -> Option<T> {
+    /// stopped by the path budget or a panic).
+    pub(crate) fn pop(&self, me: usize, stats: &mut SchedStats) -> Option<PendingPath> {
         loop {
             if self.stopped.load(AtomicOrdering::SeqCst) {
                 return None;
@@ -191,7 +157,7 @@ impl<T> StealScheduler<T> {
             let n = self.locals.len();
             for offset in 1..n {
                 let victim = (me + offset) % n;
-                let batch: Vec<T> = {
+                let batch: Vec<PendingPath> = {
                     let mut deque = relock(&self.locals[victim]);
                     let take = deque.len().div_ceil(2).min(LOCAL_DEQUE_CAP);
                     deque.drain(..take).collect()
@@ -206,7 +172,7 @@ impl<T> StealScheduler<T> {
                 self.queued.fetch_sub(1, AtomicOrdering::SeqCst);
                 let mut batch = batch.into_iter();
                 let first = batch.next();
-                let rest: Vec<T> = batch.collect();
+                let rest: Vec<PendingPath> = batch.collect();
                 if !rest.is_empty() {
                     relock(&self.locals[me]).extend(rest);
                     // The parked paths became stealable again from a new
@@ -221,17 +187,15 @@ impl<T> StealScheduler<T> {
             // the sleep lock closes the race with a producer that published
             // between our scan and the lock (producers bump `queued` before
             // taking the lock to notify). The timeout is a belt-and-braces
-            // backstop, not load-bearing. A persistent pool never terminates
-            // on emptiness — an idle pool parks here until the next query's
-            // roots are injected or the pool is stopped.
-            if !self.persistent && self.outstanding.load(AtomicOrdering::SeqCst) == 0 {
+            // backstop, not load-bearing.
+            if self.outstanding.load(AtomicOrdering::SeqCst) == 0 {
                 self.wake_all();
                 return None;
             }
             let guard = relock(&self.idle);
             if self.queued.load(AtomicOrdering::SeqCst) == 0
                 && !self.stopped.load(AtomicOrdering::SeqCst)
-                && (self.persistent || self.outstanding.load(AtomicOrdering::SeqCst) != 0)
+                && self.outstanding.load(AtomicOrdering::SeqCst) != 0
             {
                 let _ = self
                     .ready
@@ -243,7 +207,7 @@ impl<T> StealScheduler<T> {
 
     /// Publishes the children of a finished processing step onto worker
     /// `me`'s deque (overflow spilling to the injector) and retires the step.
-    pub(crate) fn complete(&self, me: usize, children: Vec<T>, stats: &mut SchedStats) {
+    pub(crate) fn complete(&self, me: usize, children: Vec<PendingPath>, stats: &mut SchedStats) {
         if !children.is_empty() {
             // Count the children as outstanding *before* they become visible
             // so `outstanding` can never dip to zero while work exists.
@@ -251,7 +215,7 @@ impl<T> StealScheduler<T> {
                 .fetch_add(children.len(), AtomicOrdering::SeqCst);
             self.queued
                 .fetch_add(children.len(), AtomicOrdering::SeqCst);
-            let mut spill: Vec<T> = Vec::new();
+            let mut spill: Vec<PendingPath> = Vec::new();
             {
                 let mut local = relock(&self.locals[me]);
                 for child in children {
@@ -281,8 +245,8 @@ impl<T> StealScheduler<T> {
         }
     }
 
-    /// Stops the run (path budget exhausted, a worker unwound, or — for a
-    /// persistent pool — shutdown).
+    /// Stops the run (path budget exhausted, deadline passed, or a worker
+    /// unwound).
     pub(crate) fn stop(&self) {
         self.stopped.store(true, AtomicOrdering::SeqCst);
         self.wake_all();

@@ -5,81 +5,75 @@
 //! against a mutating network** — the regime the ROADMAP calls the path to
 //! "millions of users":
 //!
-//! * A [`ServeHandle`] front-end enqueues typed requests (verify, delta,
-//!   snapshot) into a **bounded admission queue**. Admission is a slot held
-//!   from enqueue until the reply is sent, so an over-capacity burst is
+//! * A [`ServeHandle`] front-end submits typed requests (verify, delta,
+//!   snapshot). Every request is admitted under **one lock** over the
+//!   server's state: the queue of pinned queries, the current epoch and its
+//!   immutable `Arc<Network>` snapshot, and the counters.
+//! * **Queries are pinned at admission.** `verify` reserves an admission
+//!   slot (held until the reply is sent, so an over-capacity burst is
 //!   rejected with [`ServerError::Overloaded`] instead of growing the queue
-//!   without bound.
-//! * An **epoch manager** pins every admitted query to an immutable
-//!   `Arc<Network>` snapshot. A delta clones the topology (copy-on-write),
-//!   swaps in a new `Arc` and bumps the epoch counter; in-flight queries keep
-//!   exploring the snapshot they were pinned to — the read path takes no lock
-//!   and can never observe a torn topology.
-//! * Query execution **fans out onto a shared work-stealing pool**: the same
-//!   scheduler protocol as the per-run engine (per-worker LIFO deques, FIFO
-//!   steal-half batching, overflow injector — see
-//!   `sched::StealScheduler`), run in persistent mode so path work from
-//!   different queries interleaves on the same long-lived workers. Each unit
-//!   of work is a [`PendingPath`](crate::engine) tagged with its query, and
-//!   emissions are routed to per-query collectors.
-//! * Reports stay **byte-identical to solo runs**: every emitted path carries
-//!   the same fork-lineage sort key as in a solo `SymNet::inject`, the
-//!   per-query budget makes `max_paths` exact, and the final report is
-//!   assembled by the same `finalize_report`. (Solver and scheduler counters
-//!   are scheduling-dependent and excluded from canonical reports, exactly as
-//!   in the per-run engine.)
-//! * Queries may carry a **deadline**; cancellation is cooperative at
-//!   checkpoint granularity (each element-entry job checks the flag before
-//!   running), and a cancelled query's remaining jobs drain without being
-//!   processed, leaving the pool clean and reusable.
+//!   without bound), pins the current `(epoch, Arc<Network>)` and queues the
+//!   query. A delta clones the topology (copy-on-write), swaps in a new `Arc`
+//!   and bumps the epoch on the caller's thread, under the same lock; a
+//!   snapshot reads the pair. Admission order is therefore pin order: a query
+//!   admitted before a delta explores the pre-delta topology, one admitted
+//!   after it the post-delta one, and no query can observe a torn topology.
+//! * **Workers run queries through the engine's driver.** Each of the
+//!   [`ServerConfig::workers`] threads pops the oldest pinned query and runs
+//!   it on its pinned snapshot with one scheduler worker — the same
+//!   construction, exploration and `finalize_report` as a solo
+//!   `SymNet::try_inject`, so reports are **byte-identical to solo runs** in
+//!   canonical form. Parallelism comes from running concurrent queries on
+//!   different workers.
+//! * Queries may carry a **deadline**; it travels in the query's path budget
+//!   and is checked at every element entry. An expired query stops
+//!   exploring and resolves to [`ServerError::DeadlineExceeded`]; a
+//!   panicking model fails its own query only. Either way the worker goes on
+//!   to the next query.
 //!
 //! ```text
-//!  clients ──ServeHandle::verify/apply_delta/snapshot──▶ admission queue
-//!                (bounded; slot held until reply)            │
-//!                                                        dispatcher
-//!                         pin epoch ◀── Mutex<{epoch, Arc<Network>}>
-//!                              │              ▲ copy-on-write publish
-//!                   construct roots           └── ApplyDelta
-//!                              │
-//!                              ▼ inject
-//!                ┌── persistent work-stealing pool ──┐
-//!                │ worker 0 │ worker 1 │ … │ worker N │   jobs = (query, path)
-//!                └──────────┴──────────┴───┴──────────┘
-//!                              │ per-query collectors, budget, cancel flag
-//!                              ▼ outstanding == 0
-//!                    finalize_report ──▶ reply ticket
+//!  clients ──verify──────▶ ┌─ Mutex<State> ─────────────────────────┐
+//!   (Overloaded when all   │ queue: queries pinned to their epoch   │
+//!    capacity slots held)  │ epoch + Arc<Network>                   │
+//!          ──apply_delta─▶ │   (copy-on-write publish, epoch += 1)  │
+//!          ──snapshot────▶ │ in_flight ≤ capacity, closed, counters │
+//!                          └───────────────────┬────────────────────┘
+//!                                              │ pop oldest (condvar)
+//!                     ┌────────────┬───────────┴┬──────────────┐
+//!                     │ worker 0   │ worker 1   │ … worker N-1 │
+//!                     └────────────┴────────────┴──────────────┘
+//!                       each: SymNet::run on the pinned snapshot,
+//!                       one scheduler worker, deadline in the budget
+//!                                  │ finalize_report, release the slot
+//!                                  ▼ reply ticket
 //! ```
 
-use crate::engine::{
-    finalize_report, ExecConfig, ExecutionReport, PathBudget, PendingPath, RawResult, SymNet,
-};
+use crate::engine::{finalize_report, ExecConfig, ExecutionReport, PathBudget, SymNet};
 use crate::error::EngineError;
-use crate::interp::Ctx;
 use crate::network::{ElementId, Network};
-use crate::sched::{panic_message, relock, SchedStats, StealScheduler};
-use crate::state::ExecState;
+use crate::sched::{panic_message, relock};
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use symnet_sefl::{ElementProgram, Instruction};
-use symnet_solver::SolverStats;
 
 /// Configuration of a [`SymNetServer`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads in the shared exploration pool.
+    /// Worker threads; each runs one admitted query at a time.
     pub workers: usize,
-    /// Admission capacity: the maximum number of requests admitted but not
-    /// yet replied to (queued or executing). Submissions beyond it fail fast
-    /// with [`ServerError::Overloaded`].
+    /// Admission capacity: the maximum number of queries admitted but not
+    /// yet replied to (queued or running). Queries beyond it fail fast with
+    /// [`ServerError::Overloaded`]. Deltas and snapshots are answered at
+    /// admission and never count against it.
     pub capacity: usize,
-    /// Per-query execution configuration. The `threads` field is ignored —
-    /// parallelism comes from the shared pool, not per-query scoped threads.
+    /// Per-query execution configuration. The `threads` field is ignored:
+    /// each query runs on one worker thread, and parallelism comes from
+    /// running concurrent queries on different workers.
     pub exec: ExecConfig,
 }
 
@@ -94,7 +88,7 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Returns this configuration with a different pool size.
+    /// Returns this configuration with a different number of workers.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -110,16 +104,16 @@ impl ServerConfig {
 /// Why the server could not serve a request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServerError {
-    /// The admission queue is at capacity; the request was rejected at the
+    /// The admission queue is at capacity; the query was rejected at the
     /// front door (backpressure, not buffering).
     Overloaded,
-    /// The query's deadline passed before its exploration finished; its
-    /// remaining path work was discarded and the pool stayed clean.
+    /// The query's deadline passed before its exploration finished; the rest
+    /// of its exploration was skipped.
     DeadlineExceeded,
     /// The server is shutting down (or already gone) and accepts no new work.
     ShuttingDown,
     /// The engine failed while executing the request (a model or engine
-    /// defect — the paired query fails, the pool survives).
+    /// defect — the request fails, the server keeps serving).
     Engine(EngineError),
 }
 
@@ -142,9 +136,11 @@ impl std::error::Error for ServerError {}
 #[derive(Debug)]
 pub struct ServedReport {
     /// The execution report, byte-identical (in canonical form) to a solo
-    /// `SymNet::inject` against the pinned snapshot.
+    /// `SymNet::inject` against the pinned snapshot. Its solver and
+    /// scheduler counters are the whole run's, as in a solo run with one
+    /// worker.
     pub report: ExecutionReport,
-    /// The epoch the query was pinned to at dispatch.
+    /// The epoch the query was pinned to at admission.
     pub epoch: u64,
     /// Wall time from admission to finalization (queueing included).
     pub wall: Duration,
@@ -153,9 +149,9 @@ pub struct ServedReport {
 /// A point-in-time snapshot of the server's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Requests accepted into the admission queue.
+    /// Requests admitted (queries, deltas and snapshots).
     pub admitted: u64,
-    /// Requests rejected with [`ServerError::Overloaded`].
+    /// Queries rejected with [`ServerError::Overloaded`].
     pub rejected: u64,
     /// Queries cancelled by their deadline.
     pub cancelled: u64,
@@ -169,318 +165,85 @@ pub struct ServerStats {
     pub snapshots_served: u64,
 }
 
-/// Atomic counters behind [`ServerStats`].
-#[derive(Default)]
-struct StatsCell {
-    admitted: AtomicU64,
-    rejected: AtomicU64,
-    cancelled: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    epochs_published: AtomicU64,
-    snapshots_served: AtomicU64,
-}
-
-impl StatsCell {
-    fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            epochs_published: self.epochs_published.load(Ordering::Relaxed),
-            snapshots_served: self.snapshots_served.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A typed request travelling through the admission queue.
-enum Request {
-    Verify {
-        element: ElementId,
-        input_port: usize,
-        packet: Instruction,
-        deadline: Option<Instant>,
-        queued_at: Instant,
-        reply: SyncSender<Result<ServedReport, ServerError>>,
-    },
-    ApplyDelta {
-        element: ElementId,
-        program: ElementProgram,
-        reply: SyncSender<Result<u64, ServerError>>,
-    },
-    Snapshot {
-        reply: SyncSender<Result<(u64, Arc<Network>), ServerError>>,
-    },
-}
-
-/// The bounded admission queue: a slot is reserved at submission and released
-/// only when the request's reply has been sent, so `in_flight` bounds queued
-/// *plus* executing requests — the queue itself can never grow past capacity.
-struct Admission {
-    state: Mutex<AdmissionState>,
-    ready: Condvar,
-    capacity: usize,
-    in_flight: AtomicUsize,
-}
-
-struct AdmissionState {
-    queue: VecDeque<Request>,
-    closed: bool,
-}
-
-impl Admission {
-    fn new(capacity: usize) -> Admission {
-        Admission {
-            state: Mutex::new(AdmissionState {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            capacity: capacity.max(1),
-            in_flight: AtomicUsize::new(0),
-        }
-    }
-
-    /// Reserves a slot and enqueues, or fails fast with backpressure.
-    fn try_submit(&self, request: Request) -> Result<(), ServerError> {
-        let reserved = self
-            .in_flight
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < self.capacity).then_some(n + 1)
-            })
-            .is_ok();
-        if !reserved {
-            return Err(ServerError::Overloaded);
-        }
-        let mut state = relock(&self.state);
-        if state.closed {
-            drop(state);
-            self.release_slot();
-            return Err(ServerError::ShuttingDown);
-        }
-        state.queue.push_back(request);
-        drop(state);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until a request is available; `None` once the queue is closed
-    /// *and* drained (shutdown still serves everything already admitted).
-    fn pop(&self) -> Option<Request> {
-        let mut state = relock(&self.state);
-        loop {
-            if let Some(request) = state.queue.pop_front() {
-                return Some(request);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .ready
-                .wait_timeout(state, Duration::from_millis(5))
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
-        }
-    }
-
-    /// Closes the queue: new submissions fail with `ShuttingDown`.
-    fn close(&self) {
-        relock(&self.state).closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Releases an admission slot (the request has been replied to).
-    fn release_slot(&self) {
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::SeqCst)
-    }
-}
-
-/// The current epoch: a monotonically increasing counter plus the immutable
-/// topology snapshot it names. Only the dispatcher writes it (copy-on-write);
-/// queries hold their pinned `Arc<Network>` directly and never touch this
-/// lock again.
-struct EpochState {
+/// An admitted query, pinned to the epoch current at its admission.
+struct Query {
+    element: ElementId,
+    input_port: usize,
+    packet: Instruction,
+    deadline: Option<Instant>,
+    queued_at: Instant,
     epoch: u64,
     network: Arc<Network>,
+    reply: SyncSender<Result<ServedReport, ServerError>>,
 }
 
-/// One unit of pool work: a pending path tagged with the query it belongs to.
-struct Job {
-    query: Arc<QueryTask>,
-    path: PendingPath,
-}
-
-/// The parts of a query's construction phase needed at finalization.
-struct ConstructionParts {
-    results: Vec<RawResult>,
-    injected: ExecState,
-    solver_stats: SolverStats,
-}
-
-/// Everything one in-flight query owns: its pinned-epoch engine, its exact
-/// path budget, its result collector and its completion/cancellation state.
-struct QueryTask {
-    engine: SymNet,
+/// Everything a request reads or writes, under one lock.
+struct State {
+    /// Admitted queries not yet picked up by a worker, oldest first.
+    queue: VecDeque<Query>,
+    /// Admitted queries not yet replied to (queued or running); bounded by
+    /// [`ServerConfig::capacity`].
+    in_flight: usize,
+    /// Set by shutdown: new requests fail with `ShuttingDown`, and workers
+    /// exit once the queue is drained.
+    closed: bool,
+    /// The current epoch and the immutable topology snapshot it names.
     epoch: u64,
-    budget: PathBudget,
-    /// Jobs queued or executing for this query; the last retirement (reaching
-    /// zero) finalizes the query. Seeded with 1 — the dispatcher's own guard —
-    /// so finalization cannot race root injection.
-    outstanding: AtomicUsize,
-    cancelled: AtomicBool,
-    deadline: Option<Instant>,
-    failure: Mutex<Option<String>>,
-    results: Mutex<Vec<RawResult>>,
-    construction: Mutex<Option<ConstructionParts>>,
-    reply: Mutex<Option<SyncSender<Result<ServedReport, ServerError>>>>,
-    started: Instant,
+    network: Arc<Network>,
+    stats: ServerStats,
 }
 
-impl QueryTask {
-    /// True once this query should do no further path work: explicitly
-    /// cancelled, past its deadline (first observer flips the flag), or its
-    /// report budget is already full.
-    fn should_skip(&self) -> bool {
-        if self.cancelled.load(Ordering::Relaxed) {
-            return true;
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.cancelled.store(true, Ordering::Relaxed);
-                return true;
-            }
-        }
-        self.budget.exhausted()
-    }
-
-    /// Records a fatal per-query failure (first message wins) and cancels the
-    /// rest of the query's work. The pool itself stays healthy.
-    fn fail(&self, message: String) {
-        let mut slot = relock(&self.failure);
-        if slot.is_none() {
-            *slot = Some(message);
-        }
-        drop(slot);
-        self.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Retires one job; the last retirement finalizes the query and sends the
-    /// reply.
-    fn retire(&self, shared: &Shared) {
-        if self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.finalize(shared);
-        }
-    }
-
-    /// Assembles the outcome and replies exactly once.
-    fn finalize(&self, shared: &Shared) {
-        let Some(reply) = relock(&self.reply).take() else {
-            return;
-        };
-        let failure = relock(&self.failure).take();
-        let outcome = if let Some(message) = failure {
-            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-            Err(ServerError::Engine(EngineError::WorkerPanicked { message }))
-        } else if self.cancelled.load(Ordering::Relaxed) {
-            shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-            Err(ServerError::DeadlineExceeded)
-        } else {
-            let parts = relock(&self.construction)
-                .take()
-                .expect("construction parts present at finalization");
-            let mut results = parts.results;
-            results.append(&mut relock(&self.results));
-            // Per-query solver/sched counters are scheduling-dependent (the
-            // pool's worker-local solvers outlive queries), so the report
-            // carries the construction-phase solver counters only — canonical
-            // reports exclude counters entirely, exactly as for the
-            // multi-threaded engine.
-            let report = finalize_report(
-                results,
-                parts.injected,
-                parts.solver_stats,
-                SchedStats::default(),
-                self.started,
-            );
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            let wall = report.wall_time;
-            Ok(ServedReport {
-                report,
-                epoch: self.epoch,
-                wall,
-            })
-        };
-        let _ = reply.send(outcome);
-        shared.admission.release_slot();
-    }
-}
-
-/// State shared by the handles, the dispatcher and the pool workers.
+/// State shared by the handles and the workers.
 struct Shared {
-    admission: Admission,
-    pool: StealScheduler<Job>,
-    epoch: Mutex<EpochState>,
-    stats: StatsCell,
+    state: Mutex<State>,
+    /// Signalled when a query is queued or the server closes.
+    ready: Condvar,
+    capacity: usize,
+    /// The per-query configuration, with one scheduler worker.
     exec: ExecConfig,
 }
 
-/// The serving subsystem: a dispatcher thread, a persistent work-stealing
-/// pool and an epoch-versioned topology. Create one with
-/// [`SymNetServer::start`], talk to it through [`ServeHandle`]s, and stop it
-/// with [`SymNetServer::shutdown`] (dropping it shuts down too). Shutdown is
-/// graceful: everything already admitted is served first.
+/// The serving subsystem: worker threads over an epoch-versioned topology.
+/// Create one with [`SymNetServer::start`], talk to it through
+/// [`ServeHandle`]s, and stop it with [`SymNetServer::shutdown`] (dropping it
+/// shuts down too). Shutdown is graceful: every query already admitted is
+/// served first.
 pub struct SymNetServer {
     shared: Arc<Shared>,
-    dispatcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl SymNetServer {
     /// Starts a server over `network` at epoch 0.
     pub fn start(network: Network, config: ServerConfig) -> SymNetServer {
-        let workers = config.workers.max(1);
         // Warm-start: a restarted server pointed at the same cache directory
         // replays the previous process's verdicts from disk. Failure to open
         // the store (locked by a live peer, I/O error) degrades to a cold
         // cache — serving never depends on the disk layer.
         let _ = config.exec.activate_cache();
         let shared = Arc::new(Shared {
-            admission: Admission::new(config.capacity),
-            pool: StealScheduler::persistent(workers),
-            epoch: Mutex::new(EpochState {
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                in_flight: 0,
+                closed: false,
                 epoch: 0,
                 network: Arc::new(network),
+                stats: ServerStats::default(),
             }),
-            stats: StatsCell::default(),
-            exec: config.exec,
+            ready: Condvar::new(),
+            capacity: config.capacity.max(1),
+            exec: config.exec.with_threads(1),
         });
-        let worker_handles = (0..workers)
+        let workers = (0..config.workers.max(1))
             .map(|me| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("symnet-serve-worker-{me}"))
-                    .spawn(move || worker_loop(&shared, me))
-                    .expect("spawn pool worker")
+                    .spawn(move || serve_queries(&shared))
+                    .expect("spawn server worker")
             })
             .collect();
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("symnet-serve-dispatcher".to_string())
-                .spawn(move || dispatcher_loop(&shared))
-                .expect("spawn dispatcher")
-        };
-        SymNetServer {
-            shared,
-            dispatcher: Some(dispatcher),
-            workers: worker_handles,
-        }
+        SymNetServer { shared, workers }
     }
 
     /// A cloneable front-end handle for submitting requests.
@@ -490,17 +253,15 @@ impl SymNetServer {
         }
     }
 
-    /// Stops accepting new requests, serves everything already admitted,
-    /// stops the pool and joins every thread.
+    /// Stops accepting new requests, serves every query already admitted and
+    /// joins the workers.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
     }
 
     fn shutdown_impl(&mut self) {
-        self.shared.admission.close();
-        if let Some(dispatcher) = self.dispatcher.take() {
-            let _ = dispatcher.join();
-        }
+        relock(&self.shared.state).closed = true;
+        self.shared.ready.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -520,9 +281,9 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Enqueues a verification query: inject `packet` at `element`'s input
-    /// `input_port` on the *current* epoch (pinned at dispatch). Fails fast
-    /// with [`ServerError::Overloaded`] when the admission queue is full.
+    /// Admits a verification query: inject `packet` at `element`'s input
+    /// `input_port` on the epoch current at admission. Fails fast with
+    /// [`ServerError::Overloaded`] when the admission queue is full.
     pub fn verify(
         &self,
         element: ElementId,
@@ -533,9 +294,9 @@ impl ServeHandle {
     }
 
     /// Like [`ServeHandle::verify`], with a deadline measured from admission:
-    /// a query still running when it expires is cooperatively cancelled (its
-    /// ticket resolves to [`ServerError::DeadlineExceeded`]) and the pool
-    /// stays reusable.
+    /// a query still running when it expires stops at its next element entry
+    /// and its ticket resolves to [`ServerError::DeadlineExceeded`]. A
+    /// deadline too far in the future to represent means no deadline.
     pub fn verify_with_deadline(
         &self,
         element: ElementId,
@@ -543,7 +304,8 @@ impl ServeHandle {
         packet: Instruction,
         deadline: Duration,
     ) -> Result<QueryTicket, ServerError> {
-        self.submit_verify(element, input_port, packet, Some(Instant::now() + deadline))
+        let deadline = Instant::now().checked_add(deadline);
+        self.submit_verify(element, input_port, packet, deadline)
     }
 
     fn submit_verify(
@@ -554,22 +316,35 @@ impl ServeHandle {
         deadline: Option<Instant>,
     ) -> Result<QueryTicket, ServerError> {
         let (reply, ticket) = sync_channel(1);
-        let request = Request::Verify {
+        let mut state = self.open_state()?;
+        if state.in_flight >= self.shared.capacity {
+            state.stats.rejected += 1;
+            return Err(ServerError::Overloaded);
+        }
+        state.in_flight += 1;
+        state.stats.admitted += 1;
+        let query = Query {
             element,
             input_port,
             packet,
             deadline,
             queued_at: Instant::now(),
+            epoch: state.epoch,
+            network: Arc::clone(&state.network),
             reply,
         };
-        self.admit(request)?;
+        state.queue.push_back(query);
+        drop(state);
+        self.shared.ready.notify_one();
         Ok(QueryTicket { ticket })
     }
 
-    /// Enqueues a rule delta: replace `element`'s program (same port counts)
-    /// and publish a new epoch. In-flight queries finish on their pinned
-    /// pre-delta snapshot; queries admitted after the ticket resolves see the
-    /// post-delta epoch. Drive this from
+    /// Applies a rule delta: replaces `element`'s program (same port counts)
+    /// on a copy of the current topology and publishes it as a new epoch,
+    /// on the caller's thread. Queries admitted before the call keep their
+    /// pinned pre-delta snapshot; queries admitted after it see the new
+    /// epoch. The returned ticket is already resolved, and a delta is never
+    /// [`ServerError::Overloaded`]. Drive this from
     /// [`RuleTables`](../../symnet_models/delta/struct.RuleTables.html)-style
     /// table state to keep the program the compiled truth of the tables.
     pub fn apply_delta(
@@ -577,41 +352,52 @@ impl ServeHandle {
         element: ElementId,
         program: ElementProgram,
     ) -> Result<DeltaTicket, ServerError> {
-        let (reply, ticket) = sync_channel(1);
-        self.admit(Request::ApplyDelta {
-            element,
-            program,
-            reply,
-        })?;
-        Ok(DeltaTicket { ticket })
+        let mut state = self.open_state()?;
+        state.stats.admitted += 1;
+        let current = Arc::clone(&state.network);
+        let outcome = match catch_unwind(AssertUnwindSafe(move || {
+            let mut network = (*current).clone();
+            network.replace_element(element, program);
+            network
+        })) {
+            Ok(network) => {
+                state.network = Arc::new(network);
+                state.epoch += 1;
+                state.stats.epochs_published += 1;
+                Ok(state.epoch)
+            }
+            Err(payload) => Err(ServerError::Engine(EngineError::WorkerPanicked {
+                message: panic_message(payload.as_ref()),
+            })),
+        };
+        Ok(DeltaTicket { outcome })
     }
 
-    /// Enqueues a snapshot request: the current epoch number plus a shared
-    /// handle to its immutable topology.
+    /// The current epoch number plus a shared handle to its immutable
+    /// topology. The returned ticket is already resolved, and a snapshot is
+    /// never [`ServerError::Overloaded`].
     pub fn snapshot(&self) -> Result<SnapshotTicket, ServerError> {
-        let (reply, ticket) = sync_channel(1);
-        self.admit(Request::Snapshot { reply })?;
-        Ok(SnapshotTicket { ticket })
+        let mut state = self.open_state()?;
+        state.stats.admitted += 1;
+        state.stats.snapshots_served += 1;
+        Ok(SnapshotTicket {
+            snapshot: (state.epoch, Arc::clone(&state.network)),
+        })
     }
 
     /// A point-in-time snapshot of the server's counters.
     pub fn stats(&self) -> ServerStats {
-        self.shared.stats.snapshot()
+        relock(&self.shared.state).stats
     }
 
-    fn admit(&self, request: Request) -> Result<(), ServerError> {
-        match self.shared.admission.try_submit(request) {
-            Ok(()) => {
-                self.shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                if e == ServerError::Overloaded {
-                    self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e)
-            }
+    /// Takes the state lock for a new request; fails once the server is
+    /// shutting down.
+    fn open_state(&self) -> Result<MutexGuard<'_, State>, ServerError> {
+        let state = relock(&self.shared.state);
+        if state.closed {
+            return Err(ServerError::ShuttingDown);
         }
+        Ok(state)
     }
 }
 
@@ -628,210 +414,89 @@ impl QueryTicket {
     }
 }
 
-/// The pending reply to a [`ServeHandle::apply_delta`] submission; resolves
-/// to the newly published epoch number.
+/// The reply to a [`ServeHandle::apply_delta`] submission; resolves to the
+/// newly published epoch number.
 pub struct DeltaTicket {
-    ticket: Receiver<Result<u64, ServerError>>,
+    outcome: Result<u64, ServerError>,
 }
 
 impl DeltaTicket {
-    /// Blocks until the delta is published.
+    /// The newly published epoch number (the delta is already published).
     pub fn wait(self) -> Result<u64, ServerError> {
-        self.ticket.recv().unwrap_or(Err(ServerError::ShuttingDown))
+        self.outcome
     }
 }
 
-/// The pending reply to a [`ServeHandle::snapshot`] submission.
+/// The reply to a [`ServeHandle::snapshot`] submission.
 #[derive(Debug)]
 pub struct SnapshotTicket {
-    ticket: Receiver<Result<(u64, Arc<Network>), ServerError>>,
+    snapshot: (u64, Arc<Network>),
 }
 
 impl SnapshotTicket {
-    /// Blocks until the snapshot is taken.
+    /// The epoch number and its topology (the snapshot is already taken).
     pub fn wait(self) -> Result<(u64, Arc<Network>), ServerError> {
-        self.ticket.recv().unwrap_or(Err(ServerError::ShuttingDown))
+        Ok(self.snapshot)
     }
 }
 
-/// The dispatcher: drains the admission queue in order (the serialization
-/// point that makes "pinned before the delta" well defined), pins and
-/// constructs queries, publishes epochs, serves snapshots. After the queue
-/// closes it waits for in-flight queries to finalize, then stops the pool.
-fn dispatcher_loop(shared: &Arc<Shared>) {
-    while let Some(request) = shared.admission.pop() {
-        match request {
-            Request::Verify {
-                element,
-                input_port,
-                packet,
-                deadline,
-                queued_at,
-                reply,
-            } => dispatch_verify(
-                shared, element, input_port, packet, deadline, queued_at, reply,
-            ),
-            Request::ApplyDelta {
-                element,
-                program,
-                reply,
-            } => {
-                let outcome = {
-                    let mut state = relock(&shared.epoch);
-                    let current = Arc::clone(&state.network);
-                    match catch_unwind(AssertUnwindSafe(move || {
-                        let mut network = (*current).clone();
-                        network.replace_element(element, program);
-                        network
-                    })) {
-                        Ok(network) => {
-                            state.network = Arc::new(network);
-                            state.epoch += 1;
-                            shared
-                                .stats
-                                .epochs_published
-                                .fetch_add(1, Ordering::Relaxed);
-                            Ok(state.epoch)
-                        }
-                        Err(payload) => Err(ServerError::Engine(EngineError::WorkerPanicked {
-                            message: panic_message(payload.as_ref()),
-                        })),
-                    }
-                };
-                let _ = reply.send(outcome);
-                shared.admission.release_slot();
+/// One worker: pops the oldest pinned query, runs it with one scheduler
+/// worker on this thread and replies, until the server closes and the queue
+/// is drained.
+fn serve_queries(shared: &Shared) {
+    loop {
+        let query = {
+            let mut state = relock(&shared.state);
+            loop {
+                if let Some(query) = state.queue.pop_front() {
+                    break query;
+                }
+                if state.closed {
+                    return;
+                }
+                state = shared
+                    .ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
-            Request::Snapshot { reply } => {
-                let state = relock(&shared.epoch);
-                let snapshot = (state.epoch, Arc::clone(&state.network));
-                drop(state);
-                shared
-                    .stats
-                    .snapshots_served
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(Ok(snapshot));
-                shared.admission.release_slot();
-            }
-        }
-    }
-    // Queue closed and drained: wait for every in-flight query to reply
-    // (workers are still exploring), then stop the pool so workers join.
-    while shared.admission.in_flight() != 0 {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    shared.pool.stop();
-}
-
-/// Pins a query to the current epoch, runs packet construction on the
-/// dispatcher thread and injects the root jobs into the pool. The dispatcher
-/// holds one guard unit of `outstanding` across injection so the query cannot
-/// finalize before all roots are counted.
-fn dispatch_verify(
-    shared: &Arc<Shared>,
-    element: ElementId,
-    input_port: usize,
-    packet: Instruction,
-    deadline: Option<Instant>,
-    queued_at: Instant,
-    reply: SyncSender<Result<ServedReport, ServerError>>,
-) {
-    let (epoch, network) = {
-        let state = relock(&shared.epoch);
-        (state.epoch, Arc::clone(&state.network))
-    };
-    let task = Arc::new(QueryTask {
-        engine: SymNet::shared(network, shared.exec.clone()),
-        epoch,
-        budget: PathBudget::new(shared.exec.max_paths),
-        outstanding: AtomicUsize::new(1),
-        cancelled: AtomicBool::new(false),
-        deadline,
-        failure: Mutex::new(None),
-        results: Mutex::new(Vec::new()),
-        construction: Mutex::new(None),
-        reply: Mutex::new(Some(reply)),
-        started: queued_at,
-    });
-    match task
-        .engine
-        .construct_roots(element, input_port, &packet, &task.budget)
-    {
-        Ok(construction) => {
-            *relock(&task.construction) = Some(ConstructionParts {
-                results: construction.results,
-                injected: construction.injected,
-                solver_stats: construction.solver_stats,
-            });
-            let jobs: Vec<Job> = construction
-                .roots
-                .into_iter()
-                .map(|path| Job {
-                    query: Arc::clone(&task),
-                    path,
+        };
+        let budget = PathBudget::with_deadline(shared.exec.max_paths, query.deadline);
+        let engine = SymNet::shared(query.network, shared.exec.clone());
+        let outcome = match engine.run(
+            query.element,
+            query.input_port,
+            &query.packet,
+            &budget,
+            false,
+        ) {
+            Err(e) => Err(ServerError::Engine(e)),
+            Ok(_) if budget.expired() => Err(ServerError::DeadlineExceeded),
+            Ok((exploration, injected)) => {
+                let report = finalize_report(
+                    exploration.results,
+                    injected,
+                    exploration.solver_stats,
+                    exploration.sched,
+                    query.queued_at,
+                );
+                Ok(ServedReport {
+                    wall: report.wall_time,
+                    report,
+                    epoch: query.epoch,
                 })
-                .collect();
-            if !jobs.is_empty() {
-                task.outstanding.fetch_add(jobs.len(), Ordering::SeqCst);
-                shared.pool.inject(jobs);
             }
+        };
+        {
+            let mut state = relock(&shared.state);
+            state.in_flight -= 1;
+            let counter = match &outcome {
+                Ok(_) => &mut state.stats.completed,
+                Err(ServerError::DeadlineExceeded) => &mut state.stats.cancelled,
+                Err(_) => &mut state.stats.failed,
+            };
+            *counter += 1;
         }
-        Err(EngineError::WorkerPanicked { message }) => task.fail(message),
-    }
-    // Drop the dispatcher's guard; if construction produced no roots (or
-    // failed) this finalizes immediately.
-    task.retire(shared);
-}
-
-/// One pool worker: pops query-tagged jobs (own deque, injector, steal-half),
-/// interprets them with a long-lived thread-local context and routes
-/// emissions to the owning query's collector. A panicking step fails its
-/// query only — the worker and the pool keep serving other queries.
-fn worker_loop(shared: &Arc<Shared>, me: usize) {
-    let mut ctx = Ctx::new(shared.exec.solver);
-    let mut stats = SchedStats::default();
-    let mut results: Vec<RawResult> = Vec::new();
-    let mut children: Vec<PendingPath> = Vec::new();
-    while let Some(Job { query, path }) = shared.pool.pop(me, &mut stats) {
-        if query.should_skip() {
-            // Cancelled / past-deadline / budget-full queries drain their
-            // remaining jobs without processing them: the checkpoint-granular
-            // cooperative cancellation point.
-            shared.pool.complete(me, Vec::new(), &mut stats);
-            query.retire(shared);
-            continue;
-        }
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            query
-                .engine
-                .process_pending(&mut ctx, &query.budget, path, &mut results, &mut children)
-        }));
-        match step {
-            Ok(()) => {
-                if !results.is_empty() {
-                    relock(&query.results).append(&mut results);
-                }
-                let jobs: Vec<Job> = children
-                    .drain(..)
-                    .map(|path| Job {
-                        query: Arc::clone(&query),
-                        path,
-                    })
-                    .collect();
-                if !jobs.is_empty() {
-                    // Count the children on the query *before* publishing them
-                    // so its outstanding count can never dip to zero early.
-                    query.outstanding.fetch_add(jobs.len(), Ordering::SeqCst);
-                }
-                shared.pool.complete(me, jobs, &mut stats);
-            }
-            Err(payload) => {
-                results.clear();
-                children.clear();
-                query.fail(panic_message(payload.as_ref()));
-                shared.pool.complete(me, Vec::new(), &mut stats);
-            }
-        }
-        query.retire(shared);
+        let _ = query.reply.send(outcome);
     }
 }
 
@@ -957,5 +622,47 @@ mod tests {
             .verify(fw, 0, symbolic_tcp_packet())
             .expect_err("queue closed");
         assert_eq!(err, ServerError::ShuttingDown);
+        assert!(matches!(
+            handle.apply_delta(fw, http_filter("fw")),
+            Err(ServerError::ShuttingDown)
+        ));
+        let err = handle.snapshot().expect_err("queue closed");
+        assert_eq!(err, ServerError::ShuttingDown);
+    }
+
+    #[test]
+    fn unrepresentable_deadline_means_no_deadline() {
+        let (net, fw) = one_filter_network();
+        let server = SymNetServer::start(net, ServerConfig::default().with_workers(1));
+        let handle = server.handle();
+        let served = handle
+            .verify_with_deadline(fw, 0, symbolic_tcp_packet(), Duration::MAX)
+            .expect("admitted")
+            .wait()
+            .expect("completes");
+        assert_eq!(served.report.delivered().count(), 1);
+        assert_eq!(handle.stats().completed, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn served_reports_carry_the_whole_runs_counters() {
+        // The second filter is entered from the worker's own deque, and both
+        // filters ask the solver about their constraint.
+        let mut net = Network::new();
+        let fw = net.add_element(http_filter("fw"));
+        let next = net.add_element(http_filter("next"));
+        net.add_link(fw, 0, next, 0);
+        let server = SymNetServer::start(net, ServerConfig::default().with_workers(1));
+        let served = server
+            .handle()
+            .verify(fw, 0, symbolic_tcp_packet())
+            .expect("admitted")
+            .wait()
+            .expect("completes");
+        assert_eq!(served.report.delivered().count(), 1);
+        assert!(served.report.sched.local_hits > 0);
+        assert!(served.report.solver_stats.calls > 0);
+        server.shutdown();
     }
 }

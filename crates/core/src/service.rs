@@ -256,8 +256,9 @@ impl VerifyService {
     }
 
     /// Verifies every standing query concurrently, one thread per query over
-    /// a shared read snapshot (each query's exploration additionally fans out
-    /// over the work-stealing pool). Results are in registration order.
+    /// a shared read snapshot (each query's exploration additionally runs
+    /// [`ExecConfig::threads`] scheduler workers). Results are in
+    /// registration order.
     pub fn verify_all(&mut self) -> Vec<Result<ServiceReport, EngineError>> {
         let network = self.network.clone();
         let config = self.config.clone();
@@ -381,20 +382,17 @@ fn verify_session(
         // First verification: explore from scratch, recording checkpoints.
         None => {
             let budget = PathBudget::new(config.max_paths);
-            let construction = engine.construct_roots(
+            let (exploration, injected) = engine.run(
                 session.element,
                 session.input_port,
                 &session.packet,
                 &budget,
+                true,
             )?;
-            let exploration = engine.explore(construction.roots, &budget, true)?;
-            let mut results = construction.results;
-            results.extend(exploration.results);
-            let mut solver_stats = exploration.solver_stats;
-            solver_stats.merge(&construction.solver_stats);
+            let results = exploration.results;
             let total = results.len();
             session.state = Some(VerifiedState {
-                injected: construction.injected.clone(),
+                injected: injected.clone(),
                 results: results.clone(),
                 checkpoints: exploration.checkpoints,
                 pending_roots: Vec::new(),
@@ -404,8 +402,8 @@ fn verify_session(
             Ok(ServiceReport {
                 report: finalize_report(
                     results,
-                    construction.injected,
-                    solver_stats,
+                    injected,
+                    exploration.solver_stats,
                     exploration.sched,
                     start,
                 ),

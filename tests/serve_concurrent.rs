@@ -120,6 +120,38 @@ fn over_capacity_burst_is_rejected_with_overloaded() {
     server.shutdown();
 }
 
+/// Capacity bounds queries only: with the one slot held by a query not yet
+/// awaited, a delta and a snapshot are still answered, and the query keeps
+/// the epoch it was pinned to at admission.
+#[test]
+fn deltas_and_snapshots_bypass_a_full_admission_queue() {
+    let fanout = delta_fanout(8, 4);
+    let server = SymNetServer::start(
+        fanout.network.clone(),
+        ServerConfig::default().with_workers(1).with_capacity(1),
+    );
+    let handle = server.handle();
+    let query = handle
+        .verify(fanout.access, 0, symbolic_tcp_packet())
+        .expect("query admitted");
+    let program = fanout.network.element(fanout.leaves[1]).clone();
+    let epoch = handle
+        .apply_delta(fanout.leaves[1], program)
+        .expect("delta admitted")
+        .wait()
+        .expect("delta publishes");
+    let (snapshot_epoch, _) = handle
+        .snapshot()
+        .expect("snapshot admitted")
+        .wait()
+        .expect("snapshot serves");
+    assert_eq!((epoch, snapshot_epoch), (1, 1));
+    let served = query.wait().expect("query completes");
+    assert_eq!(served.epoch, 0, "the query keeps its admission epoch");
+    assert_eq!(handle.stats().rejected, 0);
+    server.shutdown();
+}
+
 /// (b) A query cancelled by its deadline resolves to `DeadlineExceeded` and
 /// leaves the service fully re-usable: the pool is not poisoned and the next
 /// query completes with a solo-identical report.
