@@ -43,7 +43,6 @@ use crate::sched::{panic_message, SchedStats, StealScheduler};
 use crate::state::{ExecState, TraceEntry};
 use crate::symbols::VarAllocator;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
@@ -143,7 +142,7 @@ impl Default for ExecConfig {
 }
 
 /// Where and why a path ended.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PathStatus {
     /// The packet reached an output port with no outgoing link — the path's
     /// natural end, where reachability queries inspect the state.
@@ -170,7 +169,7 @@ impl PathStatus {
 }
 
 /// One explored execution path.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PathReport {
     /// Sequential path identifier.
     pub id: usize,
@@ -194,7 +193,7 @@ impl PathReport {
 }
 
 /// The result of one [`SymNet::inject`] call.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExecutionReport {
     /// Every explored path.
     pub paths: Vec<PathReport>,
@@ -205,12 +204,10 @@ pub struct ExecutionReport {
     /// Constraint-solver statistics for this run (the paper reports that >90%
     /// of runtime is solver time).
     pub solver_stats: SolverStats,
-    /// Work-stealing scheduler counters (scheduling-dependent, hence skipped
-    /// from serialization — see [`SchedStats`]).
-    #[serde(skip)]
+    /// Work-stealing scheduler counters (scheduling-dependent, hence never
+    /// printed in the JSON report — see [`SchedStats`]).
     pub sched: SchedStats,
     /// Wall-clock duration of the run.
-    #[serde(skip)]
     pub wall_time: Duration,
 }
 
@@ -396,6 +393,7 @@ pub(crate) struct PathBudget {
     cap: usize,
     deadline: Option<Instant>,
     expired: AtomicBool,
+    truncated: AtomicBool,
 }
 
 impl PathBudget {
@@ -411,21 +409,27 @@ impl PathBudget {
             cap,
             deadline,
             expired: AtomicBool::new(false),
+            truncated: AtomicBool::new(false),
         }
     }
 
     /// Reserves one report slot; `false` means the cap is reached and the
-    /// path must be discarded.
+    /// path must be discarded (the run is then truncated).
     fn try_reserve(&self) -> bool {
-        self.reserved
+        let reserved = self
+            .reserved
             .fetch_update(AtomicOrdering::Relaxed, AtomicOrdering::Relaxed, |n| {
                 (n < self.cap).then_some(n + 1)
             })
-            .is_ok()
+            .is_ok();
+        if !reserved {
+            self.truncated.store(true, AtomicOrdering::Relaxed);
+        }
+        reserved
     }
 
     /// True once the deadline has passed or every slot is taken
-    /// (exploration can stop).
+    /// (exploration can stop and drops the popped pending path).
     fn exhausted(&self) -> bool {
         if self
             .deadline
@@ -434,13 +438,23 @@ impl PathBudget {
             self.expired.store(true, AtomicOrdering::Relaxed);
             return true;
         }
-        self.reserved.load(AtomicOrdering::Relaxed) >= self.cap
+        if self.reserved.load(AtomicOrdering::Relaxed) >= self.cap {
+            self.truncated.store(true, AtomicOrdering::Relaxed);
+            return true;
+        }
+        false
     }
 
     /// True if the deadline stopped the run before it had explored every
     /// path.
     pub(crate) fn expired(&self) -> bool {
         self.expired.load(AtomicOrdering::Relaxed)
+    }
+
+    /// True if the cap discarded a path or an unexplored pending path (a
+    /// run that ends with exactly `cap` paths is not truncated).
+    pub(crate) fn truncated(&self) -> bool {
+        self.truncated.load(AtomicOrdering::Relaxed)
     }
 }
 

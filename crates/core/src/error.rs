@@ -1,12 +1,11 @@
 //! Execution errors and path termination reasons.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An error raised while executing a single SEFL instruction. Errors do not
 /// abort the analysis: they terminate the execution path that raised them,
 /// exactly as the paper specifies ("the execution path fails").
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecError {
     /// A header access referenced a tag that does not exist.
     UnknownTag(String),
@@ -104,7 +103,7 @@ impl fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// Why an execution path terminated without being delivered.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DropReason {
     /// The model called `Fail(msg)`.
     Failed(String),

@@ -6,13 +6,12 @@
 //! unidirectional from output to input ports, so we need two pairs of ports
 //! and two links for bidirectional connectivity" (§5).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use symnet_sefl::ElementProgram;
 
 /// Identifier of an element inside a [`Network`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ElementId(pub usize);
 
 impl fmt::Display for ElementId {
@@ -23,7 +22,7 @@ impl fmt::Display for ElementId {
 
 /// A network: elements plus unidirectional links from output ports to input
 /// ports.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Network {
     elements: Vec<ElementProgram>,
     /// (source element, source output port) → (destination element,

@@ -9,11 +9,11 @@
 //!
 //! The tree is a *weight-balanced* binary search tree (the Adams variant used
 //! by Haskell's `Data.Map`, Δ = 3 / ratio = 2), chosen over an HAMT because
-//! the engine and the reports need cheap **in-order** iteration: reports
-//! serialize maps in key order, and [`crate::engine`]'s `For` instruction
+//! the engine and the reports need cheap **in-order** iteration: the JSON
+//! report prints maps in key order, and [`crate::engine`]'s `For` instruction
 //! snapshots metadata keys sorted. Rebalancing is deterministic — the shape
 //! of the tree is a function of the insertion/removal sequence alone — so
-//! serialized reports stay byte-identical across thread counts.
+//! reports stay byte-identical across thread counts.
 //!
 //! Mutation comes in two flavours:
 //!
@@ -23,7 +23,6 @@
 //!   which is free when the path is unshared — the common case for the hot
 //!   `Assign`-to-an-existing-field loop of a single path between forks.
 
-use serde::{Content, Deserialize, Deserializer, Error, Serialize};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
@@ -56,9 +55,7 @@ type Link<K, V> = Option<Arc<Node<K, V>>>;
 /// mutation are O(log n) and copy at most the nodes on the search path.
 ///
 /// The API mirrors the subset of `std::collections::BTreeMap` the execution
-/// state uses, and the serde encoding matches `BTreeMap`'s exactly (a JSON
-/// object for string keys, a `[key, value]` pair list otherwise), so swapping
-/// the representation does not change any serialized report.
+/// state uses, and iteration is in key order like `BTreeMap`'s.
 pub struct PMap<K, V> {
     root: Link<K, V>,
 }
@@ -432,75 +429,6 @@ impl<K: Ord + Clone, V: Clone> FromIterator<(K, V)> for PMap<K, V> {
     }
 }
 
-// Same wire encoding as the `BTreeMap` it replaced (see the serde shim): a
-// JSON-style object when every key serializes to a string, a sequence of
-// `[key, value]` pairs otherwise. Keys come out in order either way, so the
-// encoding is deterministic.
-impl<K: Serialize + Ord, V: Serialize> Serialize for PMap<K, V> {
-    fn to_content(&self) -> Content {
-        let pairs: Vec<(Content, Content)> = self
-            .iter()
-            .map(|(k, v)| (k.to_content(), v.to_content()))
-            .collect();
-        if pairs.iter().all(|(k, _)| matches!(k, Content::Str(_))) {
-            Content::Map(
-                pairs
-                    .into_iter()
-                    .map(|(k, v)| match k {
-                        Content::Str(s) => (s, v),
-                        _ => unreachable!("checked above"),
-                    })
-                    .collect(),
-            )
-        } else {
-            Content::Seq(
-                pairs
-                    .into_iter()
-                    .map(|(k, v)| Content::Seq(vec![k, v]))
-                    .collect(),
-            )
-        }
-    }
-}
-
-impl<'de, K: Deserialize<'de> + Ord + Clone, V: Deserialize<'de> + Clone> Deserialize<'de>
-    for PMap<K, V>
-{
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let entries: Vec<(Content, Content)> = match deserializer.deserialize_content()? {
-            Content::Map(entries) => entries
-                .into_iter()
-                .map(|(k, v)| (Content::Str(k), v))
-                .collect(),
-            Content::Seq(pairs) => pairs
-                .into_iter()
-                .map(|pair| match pair {
-                    Content::Seq(mut kv) if kv.len() == 2 => {
-                        let v = kv.pop().expect("len 2");
-                        let k = kv.pop().expect("len 2");
-                        Ok((k, v))
-                    }
-                    other => Err(D::Error::custom(format!(
-                        "expected [key, value] pair, found {other:?}"
-                    ))),
-                })
-                .collect::<Result<_, _>>()?,
-            other => {
-                return Err(D::Error::custom(format!(
-                    "expected map or sequence of pairs, found {other:?}"
-                )))
-            }
-        };
-        let mut map = PMap::new();
-        for (k, v) in entries {
-            let key = serde::from_content(k).map_err(D::Error::custom)?;
-            let value = serde::from_content(v).map_err(D::Error::custom)?;
-            map.insert(key, value);
-        }
-        Ok(map)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,29 +537,6 @@ mod tests {
         assert_eq!(child.get(&"b".to_string()), Some(&2));
     }
 
-    #[test]
-    fn serde_encoding_matches_btreemap() {
-        // String keys: object encoding.
-        let mut p: PMap<String, u64> = PMap::new();
-        let mut b: BTreeMap<String, u64> = BTreeMap::new();
-        for (k, v) in [("x", 1u64), ("a", 2), ("m", 3)] {
-            p.insert(k.to_string(), v);
-            b.insert(k.to_string(), v);
-        }
-        assert_eq!(p.to_content(), b.to_content());
-        // Integer keys: pair-sequence encoding.
-        let mut p: PMap<i64, u64> = PMap::new();
-        let mut b: BTreeMap<i64, u64> = BTreeMap::new();
-        for k in [-32i64, 0, 96] {
-            p.insert(k, k.unsigned_abs());
-            b.insert(k, k.unsigned_abs());
-        }
-        assert_eq!(p.to_content(), b.to_content());
-        // Roundtrip.
-        let back: PMap<i64, u64> = serde::from_content(p.to_content()).unwrap();
-        assert_eq!(back, p);
-    }
-
     proptest! {
         /// Random edit scripts agree with `BTreeMap` at every step: same
         /// lookup results, same length, same in-order entry sequence — and
@@ -660,7 +565,6 @@ mod tests {
             let pairs: Vec<(i64, i64)> = pmap.iter().map(|(k, v)| (*k, *v)).collect();
             let expect: Vec<(i64, i64)> = bmap.iter().map(|(k, v)| (*k, *v)).collect();
             prop_assert_eq!(pairs, expect);
-            prop_assert_eq!(pmap.to_content(), bmap.to_content());
         }
 
         /// Fork isolation: a forked map sees the parent's entries, and

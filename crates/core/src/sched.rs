@@ -10,9 +10,8 @@ use std::time::Duration;
 
 /// Work-stealing scheduler counters for one run, merged across workers.
 ///
-/// Excluded from serialized reports (`#[serde(skip)]` on
-/// [`crate::engine::ExecutionReport::sched`], absent from the JSON rendering)
-/// for the same reason as the solver's cache-layer counters: they are
+/// Absent from the JSON report ([`crate::report`] never prints
+/// [`crate::engine::ExecutionReport::sched`]) for the same reason as the solver's cache-layer counters: they are
 /// measurements of how a run went (which worker pops which path is
 /// scheduling-dependent), not of what was asked, and reports must stay
 /// byte-identical across thread counts.

@@ -2,8 +2,7 @@
 //!
 //! [`VerifyService`](crate::service::VerifyService) serves one query stream
 //! at a time; this module serves **many concurrent verification queries
-//! against a mutating network** — the regime the ROADMAP calls the path to
-//! "millions of users":
+//! against a mutating network**:
 //!
 //! * A [`ServeHandle`] front-end submits typed requests (verify, delta,
 //!   snapshot). Every request is admitted under **one lock** over the

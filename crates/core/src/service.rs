@@ -41,7 +41,7 @@ use crate::engine::{
 };
 use crate::error::EngineError;
 use crate::network::{ElementId, Network};
-use crate::sched::{panic_message, SchedStats};
+use crate::sched::SchedStats;
 use crate::state::ExecState;
 use std::sync::Arc;
 use std::time::Instant;
@@ -121,8 +121,9 @@ struct VerifiedState {
     /// Cache nodes cleared by deltas since the last verification (carried
     /// into the next verification's [`ServiceStats`]).
     cache_nodes_cleared: usize,
-    /// True when the verification hit [`ExecConfig::max_paths`]. A truncated
-    /// run discarded part of its frontier at emission time, so its
+    /// True when the [`ExecConfig::max_paths`] budget truncated the run
+    /// (`PathBudget::truncated`). A truncated run discarded part of its
+    /// frontier, so its
     /// checkpoints do not cover the network: the next delta drops the whole
     /// cached state and re-verification starts from scratch — which keeps
     /// the cap exact and the verdicts stale-free (a capped run is
@@ -175,15 +176,6 @@ impl VerifyService {
         SymNet::shared(self.network.clone(), self.config.clone())
     }
 
-    /// The current topology as a shared snapshot (O(1)). This is the bridge
-    /// to the concurrent serving subsystem: hand the clone to
-    /// [`SymNetServer::start`](crate::server::SymNetServer) (via
-    /// [`Network::clone`]) to serve the service's current epoch to many
-    /// concurrent clients while this service keeps its incremental sessions.
-    pub fn network_shared(&self) -> Arc<Network> {
-        Arc::clone(&self.network)
-    }
-
     /// Registers a standing query: inject a packet built by `packet` at
     /// `element`'s input port `input_port`. Nothing is explored until the
     /// first [`VerifyService::verify`].
@@ -228,10 +220,10 @@ impl VerifyService {
                 continue;
             };
             if state.truncated {
-                // The run hit `max_paths`: the unexplored frontier was
-                // discarded at emission time, so the checkpoints do not cover
-                // the network and *any* delta may affect paths we never saw.
-                // Drop the cached state; the next verify is from scratch.
+                // `max_paths` truncated the run: part of the frontier was
+                // discarded, so the checkpoints do not cover the network and
+                // *any* delta may affect paths we never saw. Drop the cached
+                // state; the next verify is from scratch.
                 stats.absorb(UpdateStats {
                     queries_affected: 1,
                     roots_invalidated: 0,
@@ -253,36 +245,6 @@ impl VerifyService {
     /// the current topology.
     pub fn verify(&mut self, id: QueryId) -> Result<ServiceReport, EngineError> {
         verify_session(&self.network, &self.config, &mut self.sessions[id.0])
-    }
-
-    /// Verifies every standing query concurrently, one thread per query over
-    /// a shared read snapshot (each query's exploration additionally runs
-    /// [`ExecConfig::threads`] scheduler workers). Results are in
-    /// registration order.
-    pub fn verify_all(&mut self) -> Vec<Result<ServiceReport, EngineError>> {
-        let network = self.network.clone();
-        let config = self.config.clone();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .sessions
-                .iter_mut()
-                .map(|session| {
-                    let network = network.clone();
-                    let config = &config;
-                    scope.spawn(move || verify_session(&network, config, session))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        Err(EngineError::WorkerPanicked {
-                            message: panic_message(payload.as_ref()),
-                        })
-                    })
-                })
-                .collect()
-        })
     }
 }
 
@@ -397,7 +359,7 @@ fn verify_session(
                 checkpoints: exploration.checkpoints,
                 pending_roots: Vec::new(),
                 cache_nodes_cleared: 0,
-                truncated: total >= config.max_paths,
+                truncated: budget.truncated(),
             });
             Ok(ServiceReport {
                 report: finalize_report(
@@ -449,7 +411,7 @@ fn verify_session(
             let reexplored = exploration.results.len();
             state.results.extend(exploration.results);
             state.checkpoints.extend(exploration.checkpoints);
-            state.truncated = state.results.len() >= config.max_paths;
+            state.truncated = budget.truncated();
             Ok(ServiceReport {
                 report: finalize_report(
                     state.results.clone(),
@@ -572,17 +534,53 @@ mod tests {
     }
 
     #[test]
-    fn verify_all_runs_every_query() {
+    fn exact_cap_query_stays_incremental_after_a_delta() {
+        // The chain has exactly three paths: a cap of three truncates
+        // nothing, so a delta re-explores only the filter's subtree.
         let (net, a, f) = chain();
-        let mut service = VerifyService::new(net, ExecConfig::default());
-        service.add_query("from-a", a, 0, symbolic_tcp_packet());
-        service.add_query("from-filter", f, 0, symbolic_tcp_packet());
-        let reports = service.verify_all();
-        assert_eq!(reports.len(), 2);
-        for r in &reports {
-            assert!(r.as_ref().unwrap().report.path_count() > 0);
-        }
-        assert_eq!(service.query_name(QueryId(0)), "from-a");
+        let config = ExecConfig {
+            max_paths: 3,
+            ..ExecConfig::default()
+        };
+        let mut service = VerifyService::new(net, config);
+        let q = service.add_query("reach", a, 0, symbolic_tcp_packet());
+        assert_eq!(service.query_name(q), "reach");
+        let first = service.verify(q).unwrap();
+        assert_eq!(first.report.path_count(), 3);
+        let update = service.apply_update(f, filter_program(20));
+        assert_eq!(update.roots_invalidated, 1);
+        let incremental = service.verify(q).unwrap();
+        assert!(!incremental.stats.from_scratch);
+        assert_eq!(incremental.stats.kept_paths, 1);
+        assert_eq!(incremental.stats.reexplored_paths, 2);
+        let scratch = service
+            .snapshot()
+            .try_inject(a, 0, &symbolic_tcp_packet())
+            .unwrap();
+        assert_eq!(
+            canonical_report_json_string(&incremental.report, service.network()),
+            canonical_report_json_string(&scratch, service.network()),
+        );
+    }
+
+    #[test]
+    fn truncated_query_reverifies_from_scratch_after_a_delta() {
+        let (net, a, f) = chain();
+        let config = ExecConfig {
+            max_paths: 2,
+            ..ExecConfig::default()
+        };
+        let mut service = VerifyService::new(net, config);
+        let q = service.add_query("reach", a, 0, symbolic_tcp_packet());
+        let first = service.verify(q).unwrap();
+        assert_eq!(first.report.path_count(), 2);
+        let update = service.apply_update(f, filter_program(20));
+        assert_eq!(update.queries_affected, 1);
+        assert_eq!(update.results_dropped, 2);
+        let after = service.verify(q).unwrap();
+        assert!(after.stats.from_scratch);
+        assert_eq!(after.stats.kept_paths, 0);
+        assert_eq!(after.report.path_count(), 2);
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::error::ExecError;
 use crate::pmap::PMap;
 use crate::symbols::VarAllocator;
 use crate::value::{width_mask, Value};
-use serde::{Content, Deserialize, Deserializer, Error, Serialize};
 use std::sync::Arc;
 use symnet_sefl::cond::{Condition, RelOp};
 use symnet_sefl::expr::Expr;
@@ -26,7 +25,7 @@ use symnet_solver::{CmpOp, Formula, PathCond, Term};
 pub const DEFAULT_META_WIDTH: u16 = 64;
 
 /// One live allocation of a header field or metadata entry.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Slot {
     /// Current value.
     pub value: Value,
@@ -35,7 +34,7 @@ pub struct Slot {
 }
 
 /// An entry of the per-path execution trace.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceEntry {
     /// The path entered an element port (`element name`, `port description`).
     Port(String),
@@ -48,8 +47,7 @@ pub enum TraceEntry {
 /// The per-path execution trace, as an `Arc` cons-list: appending is O(1) and
 /// forking a path shares the parent's entire trace (one pointer clone) instead
 /// of deep-copying a vector whose length grows with every hop. Entries
-/// serialize, compare and print oldest-first, exactly like the `Vec` this
-/// replaced.
+/// compare and print oldest-first, exactly like the `Vec` this replaced.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     head: Option<Arc<TraceNode>>,
@@ -139,36 +137,6 @@ impl PartialEq for Trace {
 
 impl Eq for Trace {}
 
-// Serialized as the oldest-first sequence the `Vec<TraceEntry>` representation
-// produced, so reports are unchanged.
-impl Serialize for Trace {
-    fn to_content(&self) -> Content {
-        let mut items: Vec<Content> = self
-            .iter_newest_first()
-            .map(Serialize::to_content)
-            .collect();
-        items.reverse();
-        Content::Seq(items)
-    }
-}
-
-impl<'de> Deserialize<'de> for Trace {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.deserialize_content()? {
-            Content::Seq(items) => {
-                let mut trace = Trace::default();
-                for item in items {
-                    trace.push(serde::from_content(item).map_err(D::Error::custom)?);
-                }
-                Ok(trace)
-            }
-            other => Err(D::Error::custom(format!(
-                "expected sequence for trace, found {other:?}"
-            ))),
-        }
-    }
-}
-
 /// The execution state of one path (one packet).
 ///
 /// Every container in here is persistent (structurally shared): the header and
@@ -177,7 +145,7 @@ impl<'de> Deserialize<'de> for Trace {
 /// Cloning a state — which is exactly what forking a path at `If`/`Fork` does
 /// — therefore touches O(1) words, and a child's first write to a map copies
 /// only the O(log n) nodes on its search path.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ExecState {
     /// Packet header: bit address → stack of allocations (top is live).
     headers: PMap<i64, Vec<Slot>>,

@@ -6,12 +6,11 @@
 //! without growing the constraint store, mirroring the paper's observation
 //! that SEFL only needs referencing, addition, subtraction and negation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use symnet_solver::{SymVar, Term};
 
 /// A concrete or symbolic value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Value {
     /// A concrete value.
     Concrete(u64),

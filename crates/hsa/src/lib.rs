@@ -15,13 +15,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A ternary header pattern over `width` bits: for every bit, `mask` says
 /// whether the bit is constrained (1) and `bits` gives its value. Unmasked
 /// bits are wildcards.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Ternary {
     /// Number of header bits.
     pub width: u32,
@@ -118,7 +117,7 @@ impl Ternary {
 }
 
 /// One transfer-function rule of a network box.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Rule {
     /// Match pattern.
     pub matches: Ternary,
@@ -130,7 +129,7 @@ pub struct Rule {
 
 /// A network box: a prioritised rule list (first match wins, like a FIB after
 /// longest-prefix expansion).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TransferFunction {
     /// Rules in priority order.
     pub rules: Vec<Rule>,
@@ -159,7 +158,7 @@ impl TransferFunction {
 }
 
 /// A node in the HSA network graph.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HsaNode {
     /// Node name.
     pub name: String,
@@ -168,7 +167,7 @@ pub struct HsaNode {
 }
 
 /// The HSA network: nodes plus links `(node, out_port) → node`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct HsaNetwork {
     /// Nodes.
     pub nodes: Vec<HsaNode>,

@@ -6,10 +6,8 @@
 //! to express the Figure 1 TCP-options parsing loop and similar packet-walking
 //! code, which is all the baseline needs.
 
-use serde::{Deserialize, Serialize};
-
 /// Binary operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BinOp {
     /// Addition.
     Add,
@@ -31,7 +29,7 @@ pub enum BinOp {
 }
 
 /// Expressions.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Expr {
     /// A constant.
     Const(u64),
@@ -66,7 +64,7 @@ impl Expr {
 }
 
 /// Statements.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Stmt {
     /// Assign an expression to a scalar variable.
     Assign(String, Expr),
@@ -82,7 +80,7 @@ pub enum Stmt {
 
 /// A MinC program: a statement list operating on named scalars and one global
 /// byte array.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Program {
     /// Program body.
     pub body: Vec<Stmt>,

@@ -2,11 +2,10 @@
 
 use crate::expr::Expr;
 use crate::field::FieldRef;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Relational operators usable in SEFL conditions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RelOp {
     /// Equal.
     Eq,
@@ -51,7 +50,7 @@ impl fmt::Display for RelOp {
 }
 
 /// A boolean condition over packet fields and metadata.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Condition {
     /// Always true.
     True,

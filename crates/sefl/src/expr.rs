@@ -7,11 +7,10 @@
 //! assignment and for the ciphertext produced by encryption.
 
 use crate::field::FieldRef;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An SEFL expression.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A constant value (`ConstantValue(..)` in the paper's notation).
     Const(u64),

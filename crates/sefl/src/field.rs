@@ -7,7 +7,6 @@
 //! depth. Metadata entries, in contrast, are free-form string keys in the
 //! built-in map and carry no layout.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Visibility of a metadata entry (the optional `m` parameter of `Allocate`).
@@ -15,7 +14,7 @@ use std::fmt;
 /// Local metadata is namespaced to the network element instance that created
 /// it, which is how the paper's NAT model supports cascaded NAT instances that
 /// each store their own mapping (§7).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Visibility {
     /// Visible to every element the packet later traverses (the default).
     #[default]
@@ -25,7 +24,7 @@ pub enum Visibility {
 }
 
 /// A bit address inside the packet header.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum HeaderAddr {
     /// An absolute bit offset (may be negative: encapsulation prepends headers
     /// at negative offsets relative to the original `Start`, see Figure 6).
@@ -88,7 +87,7 @@ impl fmt::Display for HeaderAddr {
 
 /// A reference to a value the program can read or write: either a packet
 /// header field or a metadata entry.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FieldRef {
     /// A packet-header field at the given bit address. The field's width is
     /// fixed when it is allocated and checked on every access (header memory

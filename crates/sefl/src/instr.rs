@@ -7,11 +7,10 @@
 use crate::cond::Condition;
 use crate::expr::Expr;
 use crate::field::{FieldRef, HeaderAddr, Visibility};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single SEFL instruction.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Instruction {
     /// `Allocate(v[,s,m])` — allocates a new value stack for `v` of `width`
     /// bits. Header allocations require a width; metadata allocations default

@@ -7,12 +7,11 @@
 //! any input port (the paper's `InputPort(*)`).
 
 use crate::instr::Instruction;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Whether a port is an input or an output port.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PortKind {
     /// Packet enters the element here.
     Input,
@@ -21,7 +20,7 @@ pub enum PortKind {
 }
 
 /// A port of a network element, identified by kind and index.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId {
     /// Input or output.
     pub kind: PortKind,
@@ -57,7 +56,7 @@ impl fmt::Display for PortId {
 }
 
 /// The SEFL model of one network element.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ElementProgram {
     /// Element name (e.g. `"switch-core"`, `"ASA"`, `"IPMirror"`).
     pub name: String,

@@ -6,14 +6,13 @@
 //! lowers SEFL `Constrain` / `If` conditions into this type.
 
 use crate::term::{SymVar, Term, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Comparison operators supported by SEFL conditions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -82,7 +81,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// A boolean formula over comparison and prefix-match atoms.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Formula {
     /// Always true.
     True,

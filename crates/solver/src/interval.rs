@@ -19,7 +19,6 @@
 //! workloads — are stored behind an `Arc`, so cloning a cube that carries one
 //! is a reference-count bump instead of a multi-megabyte `memcpy`.
 
-use serde::{Content, Deserialize, Deserializer, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -27,8 +26,8 @@ use std::sync::Arc;
 /// A set of integers represented as sorted, disjoint, inclusive intervals.
 ///
 /// Up to two intervals are stored inline; larger sets share an `Arc`-backed
-/// vector so clones are O(1). Equality, hashing and serialization all operate
-/// on the logical range list, so the two representations are interchangeable
+/// vector so clones are O(1). Equality, hashing and `Debug` all operate on
+/// the logical range list, so the two representations are interchangeable
 /// (a canonical set with ≤ 2 ranges is always stored inline).
 #[derive(Clone)]
 pub struct IntervalSet {
@@ -363,39 +362,8 @@ impl Eq for IntervalSet {}
 impl Hash for IntervalSet {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // Hash the logical range list so Small and Big representations of the
-        // same set (which canonically never coexist, but could via deserialize
-        // edge cases) hash identically, and so the hash matches what the old
-        // `struct { ranges: Vec<..> }` derive produced.
+        // same set hash identically, consistent with `PartialEq`.
         self.as_slice().hash(state);
-    }
-}
-
-// Serialization stays byte-compatible with the previous derived impl for
-// `struct IntervalSet { ranges: Vec<(i128, i128)> }`: a single-entry map.
-impl Serialize for IntervalSet {
-    fn to_content(&self) -> Content {
-        let ranges: Vec<(i128, i128)> = self.as_slice().to_vec();
-        Content::Map(vec![(String::from("ranges"), ranges.to_content())])
-    }
-}
-
-impl<'de> Deserialize<'de> for IntervalSet {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::Error as _;
-        match deserializer.deserialize_content()? {
-            Content::Map(mut entries) => {
-                let ranges = serde::take_field(&mut entries, "ranges")
-                    .ok_or_else(|| D::Error::custom("missing field ranges for IntervalSet"))?;
-                let ranges: Vec<(i128, i128)> = serde::from_content(ranges)
-                    .map_err(|e| D::Error::custom(format!("IntervalSet ranges: {e:?}")))?;
-                // Re-canonicalize defensively: hand-edited input may carry
-                // unsorted or overlapping ranges.
-                Ok(IntervalSet::from_ranges(ranges))
-            }
-            other => Err(D::Error::custom(format!(
-                "expected map for IntervalSet, found {other:?}"
-            ))),
-        }
     }
 }
 
@@ -548,21 +516,5 @@ mod tests {
         let rebuilt = IntervalSet::from_ranges(vec![(0, 0), (2, 2), (4, 4)]);
         assert!(!big.ptr_eq(&rebuilt));
         assert_eq!(big, rebuilt);
-    }
-
-    #[test]
-    fn serde_shape_matches_the_old_derive() {
-        use serde::Serialize as _;
-        // The manual impl must keep producing the single-entry map the old
-        // `#[derive(Serialize)]` on `{ ranges: Vec<(i128, i128)> }` produced.
-        let s = IntervalSet::from_ranges(vec![(1, 2), (5, 9), (20, 20)]);
-        let content = s.to_content();
-        let expected = Content::Map(vec![(
-            String::from("ranges"),
-            vec![(1i128, 2i128), (5, 9), (20, 20)].to_content(),
-        )]);
-        assert_eq!(content, expected);
-        let back: IntervalSet = serde::from_content(content).expect("roundtrip");
-        assert_eq!(back, s);
     }
 }

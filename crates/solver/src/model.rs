@@ -2,13 +2,12 @@
 
 use crate::formula::Formula;
 use crate::term::VarId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A concrete assignment of values to symbolic variables, produced by the
 /// solver as a witness of satisfiability. The automated-testing framework
 /// (§8.3 of the paper) turns these models into concrete test packets.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Model {
     values: BTreeMap<VarId, u64>,
 }

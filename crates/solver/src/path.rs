@@ -20,7 +20,6 @@ use crate::fingerprint;
 use crate::formula::Formula;
 use crate::intern::{self, Interned};
 use crate::solve::SolverResult;
-use serde::{Content, Deserialize, Deserializer, Error, Serialize};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -266,31 +265,6 @@ impl PartialEq for PathCond {
     }
 }
 
-impl Serialize for PathCond {
-    fn to_content(&self) -> Content {
-        Content::Seq(
-            self.conjuncts()
-                .into_iter()
-                .map(Serialize::to_content)
-                .collect(),
-        )
-    }
-}
-
-impl<'de> Deserialize<'de> for PathCond {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let formulas = Vec::<Formula>::deserialize(deserializer)?;
-        let mut cond = PathCond::empty();
-        for f in formulas {
-            if f == Formula::True {
-                return Err(D::Error::custom("path condition may not contain `true`"));
-            }
-            cond = cond.push(f);
-        }
-        Ok(cond)
-    }
-}
-
 impl FromIterator<Formula> for PathCond {
     fn from_iter<T: IntoIterator<Item = Formula>>(iter: T) -> Self {
         iter.into_iter()
@@ -375,17 +349,6 @@ mod tests {
         assert_eq!(a, b); // distinct nodes, equal content
         assert_ne!(a, PathCond::empty());
         assert_ne!(a, PathCond::empty().push(parts[0].clone()));
-    }
-
-    #[test]
-    fn serde_roundtrips_in_insertion_order() {
-        let cond = PathCond::empty()
-            .push(Formula::eq_const(v(0), 1))
-            .push(Formula::ne_const(v(1), 2));
-        let content = cond.to_content();
-        let back: PathCond = serde::from_content(content.clone()).unwrap();
-        assert_eq!(back, cond);
-        assert_eq!(back.to_content(), content);
     }
 
     #[test]

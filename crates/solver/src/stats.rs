@@ -5,18 +5,17 @@
 //! those two numbers, the outcome counts, and a set of *measurements* of this
 //! solver's own cache layers.
 //!
-//! The split is the report contract. What serialises (`calls`, `sat`,
-//! `unsat`, `unknown`, `time_in_solver`) is a function of the queries asked
-//! and nothing else, so it is the same for every thread count and every
-//! warm/cold cache state. Everything `#[serde(skip)]`ed says how the answers
-//! were obtained — which layer answered, how much work was left to do — and
-//! legitimately differs between a cold and a warm run of the same queries.
+//! The split is the report contract. What the JSON report prints (`calls`,
+//! `sat`, `unsat`, `unknown`, `time_in_solver`) is a function of the queries
+//! asked alone, the same for every thread count and cache state. Fields
+//! marked *a measurement* say how the answers were obtained — which layer
+//! answered, how much work was left — and legitimately differ between a cold
+//! and a warm run of the same queries.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Counters accumulated by a [`crate::Solver`] across queries.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Number of satisfiability queries issued.
     pub calls: u64,
@@ -28,38 +27,29 @@ pub struct SolverStats {
     pub unknown: u64,
     /// Cubes the decision procedure actually examined (a measurement: a
     /// query answered by a memo or the disk store examines none).
-    #[serde(skip)]
     pub cubes_examined: u64,
     /// Prefix-cache hits (a measurement): a verdict or a cube normalisation
     /// read from the analysis cached on a shared [`crate::PathCond`] node.
-    #[serde(skip)]
     pub prefix_hits: u64,
     /// Prefix-cache misses (a measurement): path-condition nodes whose cube
     /// normalisation had to be computed.
-    #[serde(skip)]
     pub prefix_misses: u64,
     /// Content-memo hits (a measurement): path queries answered from the
     /// process-wide memos keyed on prefix fingerprints (see
     /// [`crate::fingerprint`]), which is what a sibling extension or a
     /// re-injected scenario hits instead of re-solving.
-    #[serde(skip)]
     pub content_hits: u64,
     /// Content-memo misses (a measurement).
-    #[serde(skip)]
     pub content_misses: u64,
     /// Persistent-cache hits (a measurement): verdicts or projections read
     /// from the disk-backed store (see [`crate::cache`]).
-    #[serde(skip)]
     pub persisted_hits: u64,
     /// Persistent-cache misses (a measurement): lookups the store could not
     /// answer.
-    #[serde(skip)]
     pub persisted_misses: u64,
     /// Verdicts/projections written to the persistent store (a measurement).
-    #[serde(skip)]
     pub persisted_stores: u64,
     /// Cumulative wall-clock time spent inside the solver.
-    #[serde(with = "duration_micros")]
     pub time_in_solver: Duration,
 }
 
@@ -84,19 +74,6 @@ impl SolverStats {
         self.persisted_misses += other.persisted_misses;
         self.persisted_stores += other.persisted_stores;
         self.time_in_solver += other.time_in_solver;
-    }
-}
-
-mod duration_micros {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::time::Duration;
-
-    pub fn serialize<S: Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-        (d.as_micros() as u64).serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Duration, D::Error> {
-        Ok(Duration::from_micros(u64::deserialize(d)?))
     }
 }
 

@@ -6,12 +6,11 @@
 //! arithmetic SEFL supports (§5: "SymNet (via SEFL) only supports simple
 //! expressions (referencing, subtraction, addition, negation)").
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a symbolic variable. Allocated by the execution engine; the
 /// solver treats it as opaque.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(pub u64);
 
 impl fmt::Debug for VarId {
@@ -33,7 +32,7 @@ impl fmt::Display for VarId {
 /// TCP payload after encryption) as a single unbounded-looking symbol, and 64
 /// bits of freedom is enough to distinguish "fresh unconstrained symbol" from
 /// any concrete content in every analysis the paper performs.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SymVar {
     /// Unique identifier.
     pub id: VarId,
@@ -78,7 +77,7 @@ impl fmt::Display for SymVar {
 }
 
 /// A term: either a constant or `variable + offset`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Term {
     /// A constant integer value.
     Const(i128),

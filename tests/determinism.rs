@@ -2,19 +2,20 @@
 //! `crates/models/src/scenarios.rs` — plus the fork-heavy random switch tree,
 //! the workload that actually exercises stealing and local-deque overflow in
 //! the work-stealing scheduler — running `SymNet::inject` with 1, 2 and 8
-//! workers must produce byte-identical serialized `ExecutionReport`s: both
-//! the paper-style JSON rendering of `report.rs` and the serde serialization
-//! of the report struct itself. Wall-clock fields (`wall_time`,
-//! `solver_stats.time_in_solver`) are zeroed before comparing: they are the
-//! only physically nondeterministic part of a report (the work-stealing
-//! counters in `ExecutionReport::sched` are scheduling-dependent too, but
-//! they are `#[serde(skip)]`ed and never serialized in the first place —
-//! these comparisons prove exactly that).
+//! workers must produce byte-identical paper-style JSON from `report.rs`
+//! and equal (`==`) `paths` and `injected` states, which cover what the
+//! text leaves out (tags, masked allocations, slot widths). Wall-clock
+//! fields (`wall_time`, `solver_stats.time_in_solver`) are zeroed before
+//! comparing: they are the only physically nondeterministic part of a
+//! report (the work-stealing counters in `ExecutionReport::sched` are
+//! scheduling-dependent too, but the JSON never prints them — these
+//! comparisons prove exactly that).
 
 use std::time::Duration;
-use symnet_suite::core::engine::{ExecConfig, ExecutionReport, SymNet};
+use symnet_suite::core::engine::{ExecConfig, ExecutionReport, PathReport, SymNet};
 use symnet_suite::core::network::{ElementId, Network};
 use symnet_suite::core::report::report_to_json_string;
+use symnet_suite::core::state::ExecState;
 use symnet_suite::models::scenarios::{
     department, split_tcp, stanford_backbone, tunnel_chain, DepartmentConfig, SplitTcpConfig,
 };
@@ -22,22 +23,21 @@ use symnet_suite::models::tcp_options::symbolic_options_metadata;
 use symnet_suite::sefl::packet::{symbolic_l3_tcp_packet, symbolic_tcp_packet};
 use symnet_suite::sefl::Instruction;
 
-/// Runs one injection at a given worker count and renders both serializations
-/// with timing fields zeroed.
+/// Runs one injection at a given worker count and returns its paper JSON
+/// (timing fields zeroed), its paths and its injected state.
 fn canonical(
     net: &Network,
     config: &ExecConfig,
     threads: usize,
     inject_at: ElementId,
     packet: &Instruction,
-) -> (String, String) {
+) -> (String, Vec<PathReport>, ExecState) {
     let engine = SymNet::with_config(net.clone(), config.clone().with_threads(threads));
     let mut report: ExecutionReport = engine.inject(inject_at, 0, packet);
     report.wall_time = Duration::ZERO;
     report.solver_stats.time_in_solver = Duration::ZERO;
     let paper_json = report_to_json_string(&report, engine.network());
-    let serde_json = serde_json::to_string(&report).expect("report serializes");
-    (paper_json, serde_json)
+    (paper_json, report.paths, report.injected)
 }
 
 /// Asserts byte-identical reports at 1, 2 and 8 workers, then re-runs the
@@ -56,7 +56,7 @@ fn assert_thread_invariant(
     let baseline = canonical(net, config, 1, inject_at, packet);
     assert!(
         !baseline.0.is_empty() && !baseline.1.is_empty(),
-        "{name}: empty serialization"
+        "{name}: empty report"
     );
     for threads in [2usize, 8] {
         let got = canonical(net, config, threads, inject_at, packet);
@@ -64,14 +64,14 @@ fn assert_thread_invariant(
             got.0, baseline.0,
             "{name}: paper JSON differs between 1 and {threads} threads"
         );
-        assert_eq!(
-            got.1, baseline.1,
-            "{name}: serde JSON differs between 1 and {threads} threads"
+        assert!(
+            got == baseline,
+            "{name}: paths or injected state differ between 1 and {threads} threads"
         );
     }
     let warm = canonical(net, config, 1, inject_at, packet);
-    assert_eq!(
-        warm, baseline,
+    assert!(
+        warm == baseline,
         "{name}: warm re-injection (content memos populated) differs from the cold run"
     );
 }
@@ -162,23 +162,6 @@ fn department_reports_are_thread_invariant() {
         topo.exit_router,
         &symbolic_l3_tcp_packet(),
     );
-}
-
-#[test]
-fn execution_reports_roundtrip_through_serde() {
-    // The derived Serialize/Deserialize impls must agree: parsing a
-    // serialized report and re-serializing it reproduces the exact bytes.
-    let (net, a, _b) = tunnel_chain();
-    let engine = SymNet::with_config(net, ExecConfig::default());
-    let mut report = engine.inject(a, 0, &symbolic_tcp_packet());
-    report.wall_time = Duration::ZERO;
-    report.solver_stats.time_in_solver = Duration::ZERO;
-    let text = serde_json::to_string(&report).expect("serializes");
-    let parsed: ExecutionReport = serde_json::from_str(&text).expect("parses back");
-    let text2 = serde_json::to_string(&parsed).expect("re-serializes");
-    assert_eq!(text, text2);
-    assert_eq!(parsed.path_count(), report.path_count());
-    assert_eq!(parsed.injected, report.injected);
 }
 
 #[test]

@@ -21,8 +21,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use symnet_store::LogStore;
-use symnet_suite::core::engine::{ExecConfig, ExecutionReport, SymNet};
+use symnet_suite::core::engine::{ExecConfig, ExecutionReport, PathReport, SymNet};
 use symnet_suite::core::report::report_to_json_string;
+use symnet_suite::core::state::ExecState;
 use symnet_suite::models::scenarios::{department, DepartmentConfig};
 use symnet_suite::sefl::packet::symbolic_l3_tcp_packet;
 use symnet_suite::solver::solve::reset_process_memos;
@@ -359,8 +360,9 @@ proptest! {
 }
 
 /// Engine-level closure of the loop: one injection rendered with timing
-/// zeroed, exactly like `tests/determinism.rs`.
-fn canonical(threads: usize) -> (String, String) {
+/// zeroed, plus its paths and injected state, exactly like
+/// `tests/determinism.rs`.
+fn canonical(threads: usize) -> (String, Vec<PathReport>, ExecState) {
     // A department config no other test uses, so memo state from sibling
     // binaries cannot leak in (each binary is its own process anyway).
     let (net, topo) = department(DepartmentConfig {
@@ -379,8 +381,7 @@ fn canonical(threads: usize) -> (String, String) {
     report.wall_time = Duration::ZERO;
     report.solver_stats.time_in_solver = Duration::ZERO;
     let paper_json = report_to_json_string(&report, engine.network());
-    let serde_json = serde_json::to_string(&report).expect("report serializes");
-    (paper_json, serde_json)
+    (paper_json, report.paths, report.injected)
 }
 
 #[test]
@@ -401,9 +402,8 @@ fn warm_disk_reports_are_byte_identical_across_worker_counts() {
     reset_process_memos();
     cache::reset_counters();
     for threads in [1usize, 2, 8] {
-        assert_eq!(
-            canonical(threads),
-            baseline,
+        assert!(
+            canonical(threads) == baseline,
             "cache-populating run diverged at {threads} workers"
         );
     }
@@ -422,9 +422,8 @@ fn warm_disk_reports_are_byte_identical_across_worker_counts() {
     assert!(cache::configure(&dir).unwrap());
     cache::reset_counters();
     for threads in [1usize, 2, 8] {
-        assert_eq!(
-            canonical(threads),
-            baseline,
+        assert!(
+            canonical(threads) == baseline,
             "warm-disk run diverged at {threads} workers"
         );
         reset_process_memos();

@@ -2,18 +2,30 @@
 //! across `ApplyDelta`, admission backpressure, and deadline cancellation —
 //! all against paper-shaped topologies rather than toy elements.
 
-use symnet_suite::core::engine::{ExecConfig, SymNet};
+use symnet_suite::core::engine::{ExecConfig, ExecutionReport, PathReport, SymNet};
 use symnet_suite::core::network::Network;
 use symnet_suite::core::report::canonical_report_json_string;
+use symnet_suite::core::state::ExecState;
 use symnet_suite::core::{ServerConfig, ServerError, SymNetServer};
 use symnet_suite::models::delta::Delta;
 use symnet_suite::models::scenarios::{delta_fanout, fanout_mac};
 use symnet_suite::sefl::packet::symbolic_tcp_packet;
 
-fn solo_canonical(network: &Network, element: symnet_suite::core::ElementId) -> String {
+/// Canonical JSON text, plus the paths and injected state compared with `==`.
+type Canonical = (String, Vec<PathReport>, ExecState);
+
+fn canonical(report: &ExecutionReport, network: &Network) -> Canonical {
+    (
+        canonical_report_json_string(report, network),
+        report.paths.clone(),
+        report.injected.clone(),
+    )
+}
+
+fn solo_canonical(network: &Network, element: symnet_suite::core::ElementId) -> Canonical {
     let engine = SymNet::with_config(network.clone(), ExecConfig::default().with_threads(1));
     let report = engine.inject(element, 0, &symbolic_tcp_packet());
-    canonical_report_json_string(&report, network)
+    canonical(&report, network)
 }
 
 /// (a) Two queries straddling an `ApplyDelta` see strictly pre- and post-delta
@@ -68,12 +80,12 @@ fn queries_straddling_a_delta_see_strict_epochs_and_match_solo_runs() {
         assert!(pre.epoch < new_epoch, "pre-delta query pinned to old epoch");
         assert_eq!(post.epoch, new_epoch, "post-delta query sees new epoch");
         assert_eq!(
-            canonical_report_json_string(&pre.report, &fanout.network),
+            canonical(&pre.report, &fanout.network),
             solo_pre,
             "pre-delta report diverged from solo at {workers} workers"
         );
         assert_eq!(
-            canonical_report_json_string(&post.report, &post_network),
+            canonical(&post.report, &post_network),
             solo_post,
             "post-delta report diverged from solo at {workers} workers"
         );
@@ -182,7 +194,7 @@ fn deadline_cancelled_query_leaves_the_service_reusable() {
         .wait()
         .expect("post-cancel query completes");
     assert_eq!(
-        canonical_report_json_string(&after.report, &fanout.network),
+        canonical(&after.report, &fanout.network),
         solo,
         "post-cancel report must match a solo run"
     );

@@ -7,21 +7,29 @@
 //! program, and the re-verification silently reports the old network's
 //! behaviour. These tests pin the contract from the other side: after any
 //! delta stream, the incremental report must be byte-identical (canonical
-//! JSON, which excludes the solver work counters) to a from-scratch
-//! exploration of the updated network — both with the incremental solver and
-//! with `SolverConfig::incremental = false`, which bypasses every
-//! prefix-cache layer and recomputes each verdict from nothing.
+//! JSON, which excludes the solver work counters) and structurally equal
+//! (paths and injected state) to a from-scratch exploration of the updated
+//! network — both with the incremental solver and with
+//! `SolverConfig::incremental = false`, which bypasses every prefix-cache
+//! layer and recomputes each verdict from nothing.
 
-use symnet_suite::core::engine::{ExecConfig, ExecutionReport, SymNet};
+use symnet_suite::core::engine::{ExecConfig, ExecutionReport, PathReport, SymNet};
 use symnet_suite::core::network::Network;
 use symnet_suite::core::report::canonical_report_json_string;
+use symnet_suite::core::state::ExecState;
 use symnet_suite::core::VerifyService;
 use symnet_suite::models::delta::Delta;
 use symnet_suite::models::scenarios::{delta_fanout, fanout_mac};
 use symnet_suite::sefl::packet::symbolic_tcp_packet;
 
-fn canonical(report: &ExecutionReport, network: &Network) -> String {
-    canonical_report_json_string(report, network)
+/// The canonical JSON text plus the paths and injected state it leaves
+/// partly out (tags, masked allocations, slot widths), compared structurally.
+fn canonical(report: &ExecutionReport, network: &Network) -> (String, Vec<PathReport>, ExecState) {
+    (
+        canonical_report_json_string(report, network),
+        report.paths.clone(),
+        report.injected.clone(),
+    )
 }
 
 /// MAC learn delta + re-verify: the incremental report must match both a
