@@ -1,15 +1,17 @@
 //! # symnet-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
+//! The experiment harness that regenerates every table and figure of the
 //! SymNet paper's evaluation (§2 and §8). Each experiment is a plain function
 //! returning printable rows, so the same code backs
 //!
 //! * the `paper` report binary (`cargo run --release -p symnet-bench --bin
-//!   paper -- <experiment>`),
-//! * the Criterion benches (`cargo bench -p symnet-bench`), and
+//!   paper -- <experiment>`), and
 //! * the repository-level integration tests that assert the qualitative shape
 //!   of every result (who wins, by roughly what factor, where the crossovers
 //!   are).
+//!
+//! Timing is not recorded here: the repository benchmark (`benchmark/`) is
+//! the one performance record.
 //!
 //! Absolute numbers differ from the paper — the original experiments ran Z3 on
 //! a 2016-era quad-core i5 against real Stanford/RouteViews datasets — but the
@@ -1047,17 +1049,17 @@ pub fn serve(leaves: usize, macs_per_leaf: usize) -> TableReport {
 
 /// Latency distribution of one closed-loop serving run.
 #[derive(Clone, Copy, Debug)]
-pub struct LatencySummary {
+struct LatencySummary {
     /// Arithmetic mean.
-    pub mean: Duration,
+    mean: Duration,
     /// Nearest-rank median.
-    pub median: Duration,
+    median: Duration,
     /// Nearest-rank 99th percentile.
-    pub p99: Duration,
+    p99: Duration,
 }
 
 /// Sorts the sample and computes mean/median/p99 (nearest-rank).
-pub fn summarize_latencies(latencies: &mut [Duration]) -> LatencySummary {
+fn summarize_latencies(latencies: &mut [Duration]) -> LatencySummary {
     latencies.sort();
     let percentile = |p: f64| -> Duration {
         if latencies.is_empty() {
@@ -1082,7 +1084,7 @@ pub fn summarize_latencies(latencies: &mut [Duration]) -> LatencySummary {
 /// verification queries back-to-back (waiting for every reply before the next
 /// submission, briefly backing off when admission pushes back). Returns the
 /// per-query wall latencies (admission to finalization) of every client.
-pub fn closed_loop(
+fn closed_loop(
     handle: &symnet_core::ServeHandle,
     access: symnet_core::network::ElementId,
     clients: usize,

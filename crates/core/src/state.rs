@@ -18,7 +18,7 @@ use std::sync::Arc;
 use symnet_sefl::cond::{Condition, RelOp};
 use symnet_sefl::expr::Expr;
 use symnet_sefl::field::{FieldRef, HeaderAddr, Visibility};
-use symnet_solver::{CmpOp, Formula, PathCond, Term};
+use symnet_solver::{CmpOp, Formula, PathCond};
 
 /// Default width (in bits) of metadata entries allocated without an explicit
 /// width.
@@ -804,16 +804,11 @@ pub fn glob_match(pattern: &str, text: &str) -> bool {
     inner(pattern.as_bytes(), text.as_bytes())
 }
 
-/// Builds the solver term for a value (convenience re-export used by the
-/// verification helpers).
-pub fn value_term(value: &Value) -> Term {
-    value.to_term()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use symnet_sefl::fields;
+    use symnet_solver::Term;
 
     fn state_with_l3() -> ExecState {
         let mut s = ExecState::new();

@@ -132,12 +132,6 @@ pub fn reachable_ports(report: &ExecutionReport) -> Vec<(ElementId, usize)> {
     out
 }
 
-/// True if at least one delivered path ends at the given element (any output
-/// port).
-pub fn is_reachable(report: &ExecutionReport, element: ElementId) -> bool {
-    reachable_ports(report).iter().any(|(e, _)| *e == element)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

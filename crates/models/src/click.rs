@@ -136,24 +136,6 @@ pub fn ether_strip(name: &str) -> ElementProgram {
     ElementProgram::new(name, 1, 1).with_any_input_code(Instruction::block(code))
 }
 
-/// Rewrites the destination MAC address — how the §8.4 redirection router
-/// steers traffic to the Split-TCP proxy.
-pub fn set_ether_dst(name: &str, mac: u64) -> ElementProgram {
-    ElementProgram::new(name, 1, 1).with_any_input_code(Instruction::block(vec![
-        Instruction::assign(ether_dst().field(), Expr::constant(mac)),
-        Instruction::forward(0),
-    ]))
-}
-
-/// Rewrites the source MAC address (the behaviour of the Split-TCP proxy that
-/// broke the §8.4 DHCP security appliance).
-pub fn set_ether_src(name: &str, mac: u64) -> ElementProgram {
-    ElementProgram::new(name, 1, 1).with_any_input_code(Instruction::block(vec![
-        Instruction::assign(ether_src().field(), Expr::constant(mac)),
-        Instruction::forward(0),
-    ]))
-}
-
 /// `VLANEncap`: tags the frame with a VLAN id. The original EtherType is saved
 /// in metadata, the EtherType becomes 0x8100 and the VLAN id is stored in a
 /// dedicated field allocated behind the Ethernet header.

@@ -195,14 +195,6 @@ impl Fib {
         out
     }
 
-    /// The per-entry LPM condition: the destination matches the entry's prefix
-    /// and none of the more specific overlapping prefixes that forward to a
-    /// different interface (see [`Fib::exclusion_index`]).
-    pub fn entry_condition(&self, index: usize) -> Condition {
-        let exclusions = self.exclusion_index();
-        self.entry_condition_with(index, &exclusions)
-    }
-
     fn entry_condition_with(&self, index: usize, exclusions: &[Vec<usize>]) -> Condition {
         let entry = self.entries[index];
         let mut parts = vec![Condition::matches_ipv4_prefix(
@@ -219,13 +211,6 @@ impl Fib {
             )));
         }
         Condition::and(parts)
-    }
-
-    /// The grouped per-interface condition used by the ingress and egress
-    /// models.
-    pub fn port_condition(&self, port: usize) -> Condition {
-        let exclusions = self.exclusion_index();
-        self.port_condition_with(port, &exclusions)
     }
 
     fn port_condition_with(&self, port: usize, exclusions: &[Vec<usize>]) -> Condition {

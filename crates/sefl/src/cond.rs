@@ -140,21 +140,6 @@ impl Condition {
         }
     }
 
-    /// Prefix match with an explicit field width.
-    pub fn matches_prefix(
-        field: impl Into<FieldRef>,
-        value: u64,
-        prefix_len: u8,
-        width: u8,
-    ) -> Condition {
-        Condition::Match {
-            field: field.into(),
-            value,
-            prefix_len,
-            width,
-        }
-    }
-
     /// Conjunction with flattening and constant folding.
     pub fn and(parts: Vec<Condition>) -> Condition {
         let mut out = Vec::with_capacity(parts.len());

@@ -176,11 +176,6 @@ impl Formula {
         Formula::cmp_const(CmpOp::Ne, var, value)
     }
 
-    /// `a == b` between two variables.
-    pub fn vars_equal(a: SymVar, b: SymVar) -> Formula {
-        Formula::cmp(CmpOp::Eq, Term::var(a), Term::var(b))
-    }
-
     /// Prefix match on a variable: the top `prefix_len` bits of `var` equal the
     /// top bits of `value`.
     pub fn prefix_match(var: SymVar, value: u64, prefix_len: u8) -> Formula {

@@ -458,11 +458,6 @@ impl Solver {
         result
     }
 
-    /// True if the path condition is satisfiable.
-    pub fn is_sat_path(&mut self, path: &PathCond) -> bool {
-        self.check_path(path).is_sat()
-    }
-
     /// True if the path condition is proven unsatisfiable (`Unknown` returns
     /// false, as for [`Solver::is_unsat`]).
     pub fn is_unsat_path(&mut self, path: &PathCond) -> bool {

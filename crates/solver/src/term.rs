@@ -120,14 +120,6 @@ impl Term {
         }
     }
 
-    /// Returns the constant value of this term, if it is a constant.
-    pub fn as_const(&self) -> Option<i128> {
-        match self {
-            Term::Const(c) => Some(*c),
-            Term::Var { .. } => None,
-        }
-    }
-
     /// Evaluates the term under a concrete assignment lookup.
     pub fn eval(&self, lookup: impl Fn(VarId) -> Option<u64>) -> Option<i128> {
         match self {

@@ -215,11 +215,6 @@ impl LogStore {
         self.recovered.clear();
         Ok(())
     }
-
-    /// Bytes of validated frames currently in the log.
-    pub fn len_bytes(&self) -> u64 {
-        self.len
-    }
 }
 
 impl Drop for LogStore {

@@ -21,6 +21,7 @@ use symnet_suite::core::VerifyService;
 use symnet_suite::models::delta::Delta;
 use symnet_suite::models::scenarios::{delta_fanout, fanout_mac};
 use symnet_suite::sefl::packet::symbolic_tcp_packet;
+use symnet_suite::testgen::generators::{random_switch_tree_scenario, GeneratorConfig};
 
 /// The canonical JSON text plus the paths and injected state it leaves
 /// partly out (tags, masked allocations, slot widths), compared structurally.
@@ -246,4 +247,101 @@ fn delta_streams_stay_convergent_over_many_rounds() {
             "round {round}: incremental diverged from from-scratch"
         );
     }
+}
+
+/// Bursts of MAC learns on `k` of the 8 leaves of `delta_fanout(8, 4)`, for
+/// k = 1, 2, 4 and 8: the incremental answer must equal the from-scratch one
+/// whether one leaf's subtree or every leaf's subtree is invalidated.
+#[test]
+fn delta_bursts_of_every_size_agree_with_from_scratch() {
+    for k in [1usize, 2, 4, 8] {
+        let fanout = delta_fanout(8, 4);
+        let access = fanout.access;
+        let mut tables = fanout.tables;
+        let mut service = VerifyService::new(fanout.network, ExecConfig::default().with_threads(1));
+        let q = service.add_query("fanout", access, 0, symbolic_tcp_packet());
+        service.verify(q).expect("initial verification");
+        for (leaf, &element) in fanout.leaves.iter().enumerate().take(k) {
+            tables
+                .apply(
+                    &mut service,
+                    &Delta::MacLearn {
+                        element,
+                        mac: fanout_mac(20 + leaf, 0),
+                        vlan: None,
+                        port: 0,
+                    },
+                )
+                .expect("delta applies")
+                .expect("delta changes its table");
+        }
+        let incremental = service.verify(q).expect("re-verify");
+        let scratch = service
+            .snapshot()
+            .try_inject(access, 0, &symbolic_tcp_packet())
+            .expect("from-scratch inject");
+        assert_eq!(
+            canonical(&incremental.report, service.network()),
+            canonical(&scratch, service.network()),
+            "incremental and from-scratch reports diverged at delta size {k}"
+        );
+    }
+}
+
+/// A delta on a switch the standing query enters through two checkpoints
+/// (the random tree wires up- and down-links, so the injected packet reaches
+/// `sw3` of this tree along two different paths): every such entry must be
+/// re-explored, not just the first one found.
+#[test]
+fn delta_reroots_every_checkpoint_entering_the_changed_element() {
+    let config = GeneratorConfig {
+        seed: 3,
+        size: 4,
+        entries: 8,
+    };
+    let scenario = random_switch_tree_scenario(&config);
+    let mut tables = scenario.tables;
+    let element = tables
+        .registered()
+        .find(|(_, name, _)| *name == "sw3")
+        .map(|(id, _, _)| id)
+        .expect("the tree has a switch sw3");
+    let exec = ExecConfig {
+        max_hops: scenario.max_hops,
+        ..ExecConfig::default().with_threads(1)
+    };
+    let mut service = VerifyService::new(scenario.network, exec);
+    let q = service.add_query("tree", scenario.inject_at, 0, scenario.packet.clone());
+    service.verify(q).expect("initial verification");
+
+    let update = tables
+        .apply(
+            &mut service,
+            &Delta::MacLearn {
+                element,
+                mac: 0x0200_0000_0001,
+                vlan: None,
+                port: 1,
+            },
+        )
+        .expect("delta applies")
+        .expect("delta changes its table");
+    let incremental = service.verify(q).expect("re-verify");
+    let scratch = service
+        .snapshot()
+        .try_inject(scenario.inject_at, 0, &scenario.packet)
+        .expect("from-scratch inject");
+    assert_eq!(
+        canonical(&incremental.report, service.network()),
+        canonical(&scratch, service.network()),
+        "incremental re-verification kept a stale suffix behind a second entry into sw3"
+    );
+    // The scenario must keep exercising what the comparison guards: more
+    // than one invalidated entry, and paths elsewhere that were reused.
+    assert!(
+        update.roots_invalidated >= 2,
+        "sw3 must be entered through at least two checkpoints, got {}",
+        update.roots_invalidated
+    );
+    assert!(incremental.stats.kept_paths > 0);
 }
