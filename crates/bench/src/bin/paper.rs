@@ -4,14 +4,11 @@
 //! cargo run --release -p symnet-bench --bin paper -- all
 //! cargo run --release -p symnet-bench --bin paper -- table1 fig8 table2
 //! cargo run --release -p symnet-bench --bin paper -- --full all
-//! cargo run --release -p symnet-bench --bin paper -- serve --clients 4
 //! ```
 //!
 //! Without `--full`, reduced workload sizes are used so that every experiment
 //! finishes in seconds on a laptop; `--full` uses the paper-scale parameters
-//! (hundreds of thousands of MAC-table entries and prefixes). `serve
-//! --clients N` switches the serve experiment to the concurrent-serving load
-//! test (N closed-loop clients against the epoch-snapshot server).
+//! (hundreds of thousands of MAC-table entries and prefixes).
 //!
 //! `fuzz --seed S --iters N` runs the differential fuzzing campaign instead
 //! of a paper experiment: N mutated scenarios rotating over the generator
@@ -25,29 +22,27 @@
 //! the whole invocation: a second run pointed at the same directory reads
 //! the first run's verdicts from disk and reports the same paths and
 //! outcomes. A summary of persistent-cache traffic is printed on exit.
-//! `sec85 --report-json
-//! FILE` additionally dumps the sec85 experiment as deterministic JSON
-//! (timing zeroed) — the byte-comparison artifact CI uses to assert
-//! cold-vs-warm identity.
+//! `sec85 --report-json FILE` additionally dumps the sec85 experiment as
+//! deterministic JSON (timing zeroed) — the byte-comparison artifact CI uses
+//! to assert cold-vs-warm identity.
 
 use symnet_bench::{
-    fig8, sec83, sec84, sec85, sec85_report_json, serve, serve_concurrent, table1, table2, table3,
-    table4, table5,
+    fig8, sec83, sec84, sec85, sec85_report_json, table1, table2, table3, table4, table5,
 };
 use symnet_solver::cache;
 use symnet_testgen::fuzz::{run_canary, run_fuzz, FuzzConfig};
 
 /// Every experiment name `paper` accepts.
 const EXPERIMENTS: &[&str] = &[
-    "table1", "fig8", "table2", "table3", "table4", "table5", "sec83", "sec84", "sec85", "serve",
-    "fuzz", "all",
+    "table1", "fig8", "table2", "table3", "table4", "table5", "sec83", "sec84", "sec85", "fuzz",
+    "all",
 ];
 
 /// Rejects a misspelt argument instead of silently running nothing.
 fn usage_error(what: &str) -> ! {
     eprintln!(
         "{what}; experiments: {}; options: --full --cache-dir DIR --report-json FILE \
-         --clients N --seed S --iters N",
+         --seed S --iters N",
         EXPERIMENTS.join(" ")
     );
     std::process::exit(2);
@@ -63,7 +58,6 @@ fn parse_u64(value: &str) -> Option<u64> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut full = false;
-    let mut clients: Option<usize> = None;
     let mut seed: Option<u64> = None;
     let mut iters: Option<usize> = None;
     let mut cache_dir: Option<String> = None;
@@ -89,20 +83,6 @@ fn main() {
             }
         } else if let Some(v) = arg.strip_prefix("--report-json=") {
             report_json = Some(v.to_string());
-        } else if arg == "--clients" {
-            clients = iter.next().and_then(|v| v.parse().ok());
-            if clients.is_none() {
-                eprintln!("--clients expects a positive integer");
-                std::process::exit(2);
-            }
-        } else if let Some(v) = arg.strip_prefix("--clients=") {
-            match v.parse() {
-                Ok(n) => clients = Some(n),
-                Err(_) => {
-                    eprintln!("--clients expects a positive integer");
-                    std::process::exit(2);
-                }
-            }
         } else if arg == "--seed" {
             seed = iter.next().and_then(|v| parse_u64(v));
             if seed.is_none() {
@@ -204,29 +184,6 @@ fn main() {
                 std::process::exit(2);
             }
             println!("sec85 report written to {path}");
-        }
-    }
-    if want("serve") {
-        match clients {
-            // Concurrent-serving demo: N closed-loop clients against the
-            // epoch-snapshot server, with and without a concurrent delta
-            // stream; throughput plus latency mean/median/p99 per row.
-            Some(n) => {
-                let (leaves, macs_per_leaf, per_client) =
-                    if full { (32, 8, 16) } else { (8, 4, 8) };
-                println!(
-                    "{}",
-                    serve_concurrent(&[n.max(1)], per_client, leaves, macs_per_leaf).render()
-                );
-            }
-            // Resident-service demo: a scripted MAC learn/age/roam delta
-            // stream over the fan-out topology, incremental re-verification
-            // next to the from-scratch baseline (byte-identity asserted per
-            // event).
-            None => {
-                let (leaves, macs_per_leaf) = if full { (32, 8) } else { (8, 4) };
-                println!("{}", serve(leaves, macs_per_leaf).render());
-            }
         }
     }
     if full {

@@ -893,346 +893,6 @@ pub fn sec83() -> TableReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// serve — resident-service demo (scripted delta stream)
-// ---------------------------------------------------------------------------
-
-/// Runs the resident verification service against a scripted delta stream on
-/// the `delta_fanout` topology: one standing query, a sequence of MAC
-/// learn/age events of varying blast radius, and — per event — the
-/// incremental re-verification next to a from-scratch baseline over the same
-/// updated snapshot. The `identical` column asserts the two canonical
-/// reports byte-for-byte; `kept`/`re-explored` show how much of the path
-/// tree the service reused.
-pub fn serve(leaves: usize, macs_per_leaf: usize) -> TableReport {
-    use symnet_core::report::canonical_report_json_string;
-    use symnet_core::VerifyService;
-    use symnet_models::delta::Delta;
-    use symnet_models::scenarios::{delta_fanout, fanout_mac};
-
-    let fanout = delta_fanout(leaves, macs_per_leaf);
-    let mut tables = fanout.tables;
-    let mut service = VerifyService::new(fanout.network, ExecConfig::default());
-    let query = service.add_query("fanout", fanout.access, 0, symbolic_tcp_packet());
-
-    let start = Instant::now();
-    let first = service.verify(query).expect("initial verification");
-    let first_time = start.elapsed();
-
-    // The scripted stream: a station joins behind leaf 0, another joins
-    // behind the last leaf, the first roams to leaf 1 (age + learn), then
-    // ages out entirely; finally the root itself learns a MAC — the
-    // worst-case delta every path traverses.
-    let last = leaves - 1;
-    let station_a = fanout_mac(leaves + 1, 0);
-    let station_b = fanout_mac(leaves + 2, 0);
-    let stream: Vec<(&str, Vec<Delta>)> = vec![
-        (
-            "learn A @ leaf0",
-            vec![Delta::MacLearn {
-                element: fanout.leaves[0],
-                mac: station_a,
-                vlan: None,
-                port: 0,
-            }],
-        ),
-        (
-            "learn B @ last leaf",
-            vec![Delta::MacLearn {
-                element: fanout.leaves[last],
-                mac: station_b,
-                vlan: None,
-                port: macs_per_leaf - 1,
-            }],
-        ),
-        (
-            "A roams leaf0→leaf1",
-            vec![
-                Delta::MacAge {
-                    element: fanout.leaves[0],
-                    mac: station_a,
-                    vlan: None,
-                },
-                Delta::MacLearn {
-                    element: fanout.leaves[1],
-                    mac: station_a,
-                    vlan: None,
-                    port: 0,
-                },
-            ],
-        ),
-        (
-            "A ages out",
-            vec![Delta::MacAge {
-                element: fanout.leaves[1],
-                mac: station_a,
-                vlan: None,
-            }],
-        ),
-        (
-            "root learns B",
-            vec![Delta::MacLearn {
-                element: fanout.root,
-                mac: station_b,
-                vlan: None,
-                port: last,
-            }],
-        ),
-    ];
-
-    let mut rows = vec![Row {
-        cells: vec![
-            "initial".into(),
-            "-".into(),
-            "0".into(),
-            first.stats.reexplored_paths.to_string(),
-            first.report.delivered().count().to_string(),
-            ms(first_time),
-            "-".into(),
-            "-".into(),
-        ],
-    }];
-    for (label, deltas) in stream {
-        for delta in &deltas {
-            tables
-                .apply(&mut service, delta)
-                .expect("delta applies")
-                .expect("every scripted delta changes its table");
-        }
-        let start = Instant::now();
-        let incremental = service.verify(query).expect("re-verify");
-        let incremental_time = start.elapsed();
-        let start = Instant::now();
-        let scratch = service
-            .snapshot()
-            .try_inject(fanout.access, 0, &symbolic_tcp_packet())
-            .expect("from-scratch inject");
-        let scratch_time = start.elapsed();
-        let identical = canonical_report_json_string(&incremental.report, service.network())
-            == canonical_report_json_string(&scratch, service.network());
-        assert!(identical, "incremental diverged from from-scratch: {label}");
-        rows.push(Row {
-            cells: vec![
-                label.into(),
-                deltas.len().to_string(),
-                incremental.stats.kept_paths.to_string(),
-                incremental.stats.reexplored_paths.to_string(),
-                incremental.report.delivered().count().to_string(),
-                ms(incremental_time),
-                ms(scratch_time),
-                if identical { "yes" } else { "NO" }.into(),
-            ],
-        });
-    }
-
-    TableReport {
-        title: format!("serve — resident service, {leaves}-leaf fan-out, scripted delta stream"),
-        headers: [
-            "event",
-            "deltas",
-            "kept",
-            "re-explored",
-            "delivered",
-            "incremental",
-            "from-scratch",
-            "identical",
-        ]
-        .map(String::from)
-        .to_vec(),
-        rows,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// serve --clients — closed-loop concurrent serving load
-// ---------------------------------------------------------------------------
-
-/// Latency distribution of one closed-loop serving run.
-#[derive(Clone, Copy, Debug)]
-struct LatencySummary {
-    /// Arithmetic mean.
-    mean: Duration,
-    /// Nearest-rank median.
-    median: Duration,
-    /// Nearest-rank 99th percentile.
-    p99: Duration,
-}
-
-/// Sorts the sample and computes mean/median/p99 (nearest-rank).
-fn summarize_latencies(latencies: &mut [Duration]) -> LatencySummary {
-    latencies.sort();
-    let percentile = |p: f64| -> Duration {
-        if latencies.is_empty() {
-            return Duration::ZERO;
-        }
-        let rank = ((latencies.len() as f64) * p).ceil() as usize;
-        latencies[rank.saturating_sub(1).min(latencies.len() - 1)]
-    };
-    let mean = if latencies.is_empty() {
-        Duration::ZERO
-    } else {
-        latencies.iter().sum::<Duration>() / latencies.len() as u32
-    };
-    LatencySummary {
-        mean,
-        median: percentile(0.50),
-        p99: percentile(0.99),
-    }
-}
-
-/// One closed-loop round: `clients` threads each submit `per_client`
-/// verification queries back-to-back (waiting for every reply before the next
-/// submission, briefly backing off when admission pushes back). Returns the
-/// per-query wall latencies (admission to finalization) of every client.
-fn closed_loop(
-    handle: &symnet_core::ServeHandle,
-    access: symnet_core::network::ElementId,
-    clients: usize,
-    per_client: usize,
-) -> Vec<Duration> {
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..clients)
-            .map(|_| {
-                let handle = handle.clone();
-                scope.spawn(move || {
-                    let mut latencies = Vec::with_capacity(per_client);
-                    for _ in 0..per_client {
-                        loop {
-                            match handle.verify(access, 0, symbolic_tcp_packet()) {
-                                Ok(ticket) => {
-                                    let served = ticket.wait().expect("query completes");
-                                    latencies.push(served.wall);
-                                    break;
-                                }
-                                Err(_) => std::thread::sleep(Duration::from_micros(100)),
-                            }
-                        }
-                    }
-                    latencies
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("client thread"))
-            .collect()
-    })
-}
-
-/// Closed-loop load test of the concurrent serving subsystem, sweeping client
-/// counts with and without a concurrent delta stream.
-///
-/// Per row: a fresh [`SymNetServer`](symnet_core::SymNetServer) over the
-/// `delta_fanout` topology, `clients` closed-loop clients submitting
-/// `per_client` queries each, and — in the delta rows — a publisher thread
-/// driving a station join/leave loop through
-/// [`apply_delta`](symnet_core::ServeHandle::apply_delta), so every few
-/// queries land on a fresh epoch. Reported: total queries, throughput and the
-/// wall-latency mean/median/p99 (queueing included).
-pub fn serve_concurrent(
-    clients_sweep: &[usize],
-    per_client: usize,
-    leaves: usize,
-    macs_per_leaf: usize,
-) -> TableReport {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use symnet_core::{ServerConfig, SymNetServer};
-    use symnet_models::delta::Delta;
-    use symnet_models::scenarios::{delta_fanout, fanout_mac};
-
-    let mut rows = Vec::new();
-    for &clients in clients_sweep {
-        for with_deltas in [false, true] {
-            let fanout = delta_fanout(leaves, macs_per_leaf);
-            let mut tables = fanout.tables;
-            let access = fanout.access;
-            let server = SymNetServer::start(
-                fanout.network,
-                ServerConfig::default().with_capacity(2 * clients + 8),
-            );
-            let handle = server.handle();
-            let stop = Arc::new(AtomicBool::new(false));
-
-            // The delta stream: a station joins and leaves leaf 0 in a loop,
-            // publishing a new epoch per event. In-flight queries keep their
-            // pinned snapshot; the next admission sees the new epoch.
-            let publisher = with_deltas.then(|| {
-                let handle = handle.clone();
-                let stop = Arc::clone(&stop);
-                let leaf = fanout.leaves[0];
-                let station = fanout_mac(leaves + 7, 0);
-                std::thread::spawn(move || {
-                    let mut published = 0u64;
-                    let mut joined = false;
-                    while !stop.load(Ordering::Relaxed) {
-                        let delta = if joined {
-                            Delta::MacAge {
-                                element: leaf,
-                                mac: station,
-                                vlan: None,
-                            }
-                        } else {
-                            Delta::MacLearn {
-                                element: leaf,
-                                mac: station,
-                                vlan: None,
-                                port: 0,
-                            }
-                        };
-                        joined = !joined;
-                        let submitted = tables
-                            .apply_with(&delta, |element, program| {
-                                handle.apply_delta(element, program)
-                            })
-                            .expect("join/leave deltas always change the table")
-                            .expect("join/leave deltas always change the table");
-                        match submitted.map(|ticket| ticket.wait()) {
-                            Ok(Ok(_)) => published += 1,
-                            _ => break, // overloaded or shutting down
-                        }
-                        std::thread::sleep(Duration::from_micros(500));
-                    }
-                    published
-                })
-            });
-
-            let start = Instant::now();
-            let mut latencies = closed_loop(&handle, access, clients, per_client);
-            let elapsed = start.elapsed();
-            stop.store(true, Ordering::Relaxed);
-            let published = publisher
-                .map(|p| p.join().expect("delta publisher"))
-                .unwrap_or(0);
-            server.shutdown();
-
-            let summary = summarize_latencies(&mut latencies);
-            let throughput = latencies.len() as f64 / elapsed.as_secs_f64();
-            rows.push(Row {
-                cells: vec![
-                    clients.to_string(),
-                    published.to_string(),
-                    latencies.len().to_string(),
-                    format!("{throughput:.1}"),
-                    ms(summary.mean),
-                    ms(summary.median),
-                    ms(summary.p99),
-                ],
-            });
-        }
-    }
-
-    TableReport {
-        title: format!(
-            "serve --clients: closed-loop concurrent serving, {leaves}-leaf fan-out, {per_client} queries/client"
-        ),
-        headers: ["clients", "deltas", "queries", "q/s", "mean", "median", "p99"]
-            .map(String::from)
-            .to_vec(),
-        rows,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

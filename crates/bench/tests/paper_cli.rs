@@ -1,5 +1,7 @@
 //! The `paper` binary refuses misspelt experiment names and options: running
-//! nothing and exiting 0 would read as a clean run.
+//! nothing and exiting 0 would read as a clean run. Names it no longer has
+//! (the `serve` demo and its client-count option) are refused the same way,
+//! so a stale script fails loudly.
 
 use std::process::Command;
 
@@ -12,21 +14,28 @@ fn paper(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn misspelt_experiment_exits_2_and_lists_the_valid_names() {
-    let out = paper(&["tabel2"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(out.stdout.is_empty(), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("tabel2"), "{stderr}");
-    assert!(
-        stderr.contains("table2") && stderr.contains("sec85"),
-        "{stderr}"
-    );
+    for name in ["tabel2", "serve"] {
+        let out = paper(&[name]);
+        assert_eq!(out.status.code(), Some(2), "{name}: {out:?}");
+        assert!(out.stdout.is_empty(), "{name}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown experiment {name}")),
+            "{stderr}"
+        );
+        assert!(
+            stderr.contains("table2") && stderr.contains("sec85"),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]
 fn misspelt_option_exits_2() {
-    let out = paper(&["--ful", "table5"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(out.stdout.is_empty(), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--ful"));
+    for args in [&["--ful", "table5"][..], &["--clients", "4", "table5"]] {
+        let out = paper(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(args[0]));
+    }
 }

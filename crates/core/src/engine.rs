@@ -333,11 +333,6 @@ impl PendingPath {
     pub(crate) fn lineage(&self) -> &[u32] {
         &self.lineage
     }
-
-    /// The execution state at this element entry.
-    pub(crate) fn state(&self) -> &ExecState {
-        &self.state
-    }
 }
 
 /// Deterministic sort key of one emitted path: the lineage of the pending

@@ -19,9 +19,9 @@
 //!   ([`crate::network::Network::replace_element`]). The lineage-minimal set
 //!   of checkpoints *entering* the changed element becomes the re-exploration
 //!   roots; every cached result and checkpoint at or below such a root is
-//!   dropped, and the solver analyses cached on their now-stale
-//!   path-condition suffixes are cleared
-//!   ([`symnet_solver::PathCond::invalidate_deeper_than`]).
+//!   dropped. No solver cache needs clearing: a path-condition node's cached
+//!   analysis depends only on its own conjunct chain, and re-exploration
+//!   pushes fresh nodes carrying the new program's conjuncts.
 //! * **Delta re-verification.** The next [`VerifyService::verify`] re-explores
 //!   only the invalidated subtrees — with the *new* element program — and
 //!   merges the fresh results with the kept ones. Because every emitted path
@@ -65,9 +65,6 @@ pub struct ServiceStats {
     /// Invalidated element-entry checkpoints this verification re-explored
     /// from (0 when the cached result was reusable wholesale).
     pub invalidated_roots: usize,
-    /// Path-condition nodes whose cached solver analyses were cleared by the
-    /// deltas answered by this verification.
-    pub cache_nodes_cleared: usize,
 }
 
 /// What one delta application invalidated across the standing queries.
@@ -83,8 +80,6 @@ pub struct UpdateStats {
     pub results_dropped: usize,
     /// Cached element-entry checkpoints dropped as stale.
     pub checkpoints_dropped: usize,
-    /// Path-condition nodes whose cached solver analyses were cleared.
-    pub cache_nodes_cleared: usize,
 }
 
 impl UpdateStats {
@@ -93,7 +88,6 @@ impl UpdateStats {
         self.roots_invalidated += other.roots_invalidated;
         self.results_dropped += other.results_dropped;
         self.checkpoints_dropped += other.checkpoints_dropped;
-        self.cache_nodes_cleared += other.cache_nodes_cleared;
     }
 }
 
@@ -118,9 +112,6 @@ struct VerifiedState {
     checkpoints: Vec<PendingPath>,
     /// Invalidated entry checkpoints awaiting re-exploration (lineage-minimal).
     pending_roots: Vec<PendingPath>,
-    /// Cache nodes cleared by deltas since the last verification (carried
-    /// into the next verification's [`ServiceStats`]).
-    cache_nodes_cleared: usize,
     /// True when the [`ExecConfig::max_paths`] budget truncated the run
     /// (`PathBudget::truncated`). A truncated run discarded part of its
     /// frontier, so its
@@ -229,7 +220,6 @@ impl VerifyService {
                     roots_invalidated: 0,
                     results_dropped: state.results.len(),
                     checkpoints_dropped: state.checkpoints.len(),
-                    cache_nodes_cleared: 0,
                 });
                 session.state = None;
                 continue;
@@ -254,9 +244,9 @@ fn is_prefix(a: &[u32], b: &[u32]) -> bool {
     b.len() >= a.len() && b[..a.len()] == *a
 }
 
-/// The root (if any) whose subtree a lineage belongs to.
-fn stale_root<'a>(roots: &'a [PendingPath], lineage: &[u32]) -> Option<&'a PendingPath> {
-    roots.iter().find(|r| is_prefix(r.lineage(), lineage))
+/// True if a lineage belongs to the subtree of one of `roots`.
+fn is_stale(roots: &[PendingPath], lineage: &[u32]) -> bool {
+    roots.iter().any(|r| is_prefix(r.lineage(), lineage))
 }
 
 /// Reduces candidate re-exploration roots to the lineage-minimal set: a
@@ -267,7 +257,7 @@ fn minimal_roots(mut candidates: Vec<PendingPath>) -> Vec<PendingPath> {
         .sort_by(|a, b| (a.lineage().len(), a.lineage()).cmp(&(b.lineage().len(), b.lineage())));
     let mut roots: Vec<PendingPath> = Vec::new();
     for candidate in candidates {
-        if stale_root(&roots, candidate.lineage()).is_none() {
+        if !is_stale(&roots, candidate.lineage()) {
             roots.push(candidate);
         }
     }
@@ -294,39 +284,14 @@ fn invalidate_session(state: &mut VerifiedState, element: ElementId) -> UpdateSt
     candidates.extend(new_roots);
     let roots = minimal_roots(candidates);
 
-    // Drop everything at or below an invalidated entry, clearing the solver
-    // analyses cached on the now-stale path-condition suffixes (the conjuncts
-    // pushed while executing the old program). The checkpoint prefix itself
-    // stays cached — its constraints predate the changed element.
-    let mut cleared = 0;
-    state
-        .results
-        .retain(|r| match stale_root(&roots, r.key.parent()) {
-            None => true,
-            Some(root) => {
-                cleared += r
-                    .state
-                    .path_cond()
-                    .invalidate_deeper_than(root.state().path_cond().len());
-                stats.results_dropped += 1;
-                false
-            }
-        });
+    // Drop everything at or below an invalidated entry.
+    let (results, checkpoints) = (state.results.len(), state.checkpoints.len());
+    state.results.retain(|r| !is_stale(&roots, r.key.parent()));
     state
         .checkpoints
-        .retain(|cp| match stale_root(&roots, cp.lineage()) {
-            None => true,
-            Some(root) => {
-                cleared += cp
-                    .state()
-                    .path_cond()
-                    .invalidate_deeper_than(root.state().path_cond().len());
-                stats.checkpoints_dropped += 1;
-                false
-            }
-        });
-    stats.cache_nodes_cleared = cleared;
-    state.cache_nodes_cleared += cleared;
+        .retain(|cp| !is_stale(&roots, cp.lineage()));
+    stats.results_dropped = results - state.results.len();
+    stats.checkpoints_dropped = checkpoints - state.checkpoints.len();
     stats.roots_invalidated = roots.len();
     state.pending_roots = roots;
     stats
@@ -358,7 +323,6 @@ fn verify_session(
                 results: results.clone(),
                 checkpoints: exploration.checkpoints,
                 pending_roots: Vec::new(),
-                cache_nodes_cleared: 0,
                 truncated: budget.truncated(),
             });
             Ok(ServiceReport {
@@ -374,14 +338,12 @@ fn verify_session(
                     kept_paths: 0,
                     reexplored_paths: total,
                     invalidated_roots: 0,
-                    cache_nodes_cleared: 0,
                 },
             })
         }
         // Re-verification: re-explore only the invalidated subtrees.
         Some(state) => {
             let kept = state.results.len();
-            let cache_nodes_cleared = std::mem::take(&mut state.cache_nodes_cleared);
             if state.pending_roots.is_empty() {
                 // Nothing invalidated since the last verification: the cached
                 // answer is the answer. No solver work is performed at all.
@@ -398,7 +360,6 @@ fn verify_session(
                         kept_paths: kept,
                         reexplored_paths: 0,
                         invalidated_roots: 0,
-                        cache_nodes_cleared,
                     },
                 });
             }
@@ -425,7 +386,6 @@ fn verify_session(
                     kept_paths: kept,
                     reexplored_paths: reexplored,
                     invalidated_roots,
-                    cache_nodes_cleared,
                 },
             })
         }

@@ -31,7 +31,7 @@ use crate::interval::IntervalSet;
 use crate::model::Model;
 use crate::solve::SolverResult;
 use crate::term::VarId;
-use serde::{Deserialize, Serialize};
+use serde_json::{json, Number, Value};
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
@@ -139,10 +139,12 @@ pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
-/// One record of the append-only log. Keys are 128-bit fingerprints split
-/// into `(hi, lo)` word pairs (the serde shim has no 128-bit unsigned
-/// deserialization), models are `(variable id, value)` pairs.
-#[derive(Debug, Serialize, Deserialize)]
+/// One record of the append-only log, stored as a JSON object tagged by
+/// variant: `{"Verdict":{"key_hi":…,"key_lo":…,"verdict":2,"model":[[5,1]]}}`.
+/// Keys are 128-bit fingerprints split into `(hi, lo)` word pairs, models are
+/// `(variable id, value)` pairs. [`encode`] and [`decode`] write this text by
+/// hand; changing it means bumping [`FORMAT_VERSION`].
+#[derive(Debug, PartialEq)]
 enum CacheRecord {
     /// First record of every log: the encoding version.
     Header { version: u32 },
@@ -171,12 +173,74 @@ fn join_key(hi: u64, lo: u64) -> u128 {
     ((hi as u128) << 64) | lo as u128
 }
 
-fn encode(record: &CacheRecord) -> Option<Vec<u8>> {
-    serde_json::to_string(record).ok().map(String::into_bytes)
+fn encode(record: &CacheRecord) -> Vec<u8> {
+    let value = match record {
+        CacheRecord::Header { version } => json!({ "Header": { "version": version } }),
+        CacheRecord::Verdict {
+            key_hi,
+            key_lo,
+            verdict,
+            model,
+        } => json!({ "Verdict": {
+            "key_hi": key_hi, "key_lo": key_lo, "verdict": verdict, "model": model
+        } }),
+        CacheRecord::Projection {
+            key_hi,
+            key_lo,
+            known,
+            ranges,
+        } => json!({ "Projection": {
+            "key_hi": key_hi, "key_lo": key_lo, "known": known, "ranges": ranges
+        } }),
+    };
+    serde_json::to_string(&value)
+        .expect("rendering a JSON value cannot fail")
+        .into_bytes()
 }
 
+/// Parses one record; `None` for anything [`encode`] does not write (a
+/// missing field, a value out of its field's range, an unknown variant).
 fn decode(bytes: &[u8]) -> Option<CacheRecord> {
-    serde_json::from_str(std::str::from_utf8(bytes).ok()?).ok()
+    let value: Value = serde_json::from_str(std::str::from_utf8(bytes).ok()?).ok()?;
+    let mut tagged = value.as_object()?.iter();
+    let (variant, fields) = match (tagged.next(), tagged.next()) {
+        (Some(entry), None) => entry,
+        _ => return None,
+    };
+    let int = |v: &Value| match v {
+        Value::Number(Number::Int(n)) => Some(*n),
+        _ => None,
+    };
+    let field = |name: &str| int(&fields[name]);
+    let word = |name: &str| u64::try_from(field(name)?).ok();
+    let pairs = |name: &str| -> Option<Vec<(i128, i128)>> {
+        let pair = |v: &Value| match v.as_array()?.as_slice() {
+            [a, b] => Some((int(a)?, int(b)?)),
+            _ => None,
+        };
+        fields[name].as_array()?.iter().map(pair).collect()
+    };
+    match variant.as_str() {
+        "Header" => Some(CacheRecord::Header {
+            version: u32::try_from(field("version")?).ok()?,
+        }),
+        "Verdict" => Some(CacheRecord::Verdict {
+            key_hi: word("key_hi")?,
+            key_lo: word("key_lo")?,
+            verdict: u8::try_from(field("verdict")?).ok()?,
+            model: pairs("model")?
+                .into_iter()
+                .map(|(id, v)| Some((u64::try_from(id).ok()?, u64::try_from(v).ok()?)))
+                .collect::<Option<_>>()?,
+        }),
+        "Projection" => Some(CacheRecord::Projection {
+            key_hi: word("key_hi")?,
+            key_lo: word("key_lo")?,
+            known: fields["known"].as_bool()?,
+            ranges: pairs("ranges")?,
+        }),
+        _ => None,
+    }
 }
 
 fn model_to_pairs(model: &Model) -> Vec<(u64, u64)> {
@@ -273,11 +337,9 @@ pub fn configure(dir: &Path) -> io::Result<bool> {
         // Fresh log, foreign format, or stale version: start over. (An
         // *empty* log is the common fresh-directory case.)
         store.truncate_all()?;
-        if let Some(bytes) = encode(&CacheRecord::Header {
+        store.append(&encode(&CacheRecord::Header {
             version: FORMAT_VERSION,
-        }) {
-            store.append(&bytes)?;
-        }
+        }))?;
         store.sync()?;
     }
     let (tx, rx) = mpsc::channel::<FlushMsg>();
@@ -361,8 +423,8 @@ fn send_record(record: &CacheRecord) {
         let guard = FLUSHER.lock().unwrap_or_else(PoisonError::into_inner);
         guard.as_ref().map(|f| f.tx.clone())
     };
-    if let (Some(tx), Some(bytes)) = (tx, encode(record)) {
-        let _ = tx.send(FlushMsg::Record(bytes));
+    if let Some(tx) = tx {
+        let _ = tx.send(FlushMsg::Record(encode(record)));
     }
 }
 
@@ -477,28 +539,79 @@ mod tests {
     #[test]
     fn record_encoding_roundtrips() {
         let model: Model = [(VarId(3), 9u64), (VarId(7), 0)].into_iter().collect();
+        let max_model: Model = [(VarId(u64::MAX), u64::MAX)].into_iter().collect();
+        // Every record kind with the exact text the log holds for it; a log
+        // written by an earlier build must keep decoding.
         let records = [
-            CacheRecord::Header {
-                version: FORMAT_VERSION,
-            },
-            verdict_to_record(0xDEAD_BEEF, &SolverResult::Sat(model)),
-            verdict_to_record(1, &SolverResult::Unsat),
-            verdict_to_record(2, &SolverResult::Unknown),
-            CacheRecord::Projection {
-                key_hi: 1,
-                key_lo: 2,
-                known: true,
-                ranges: vec![(0, 5), (10, 20)],
-            },
+            (
+                CacheRecord::Header {
+                    version: FORMAT_VERSION,
+                },
+                r#"{"Header":{"version":2}}"#,
+            ),
+            (
+                verdict_to_record(0xDEAD_BEEF, &SolverResult::Sat(model)),
+                r#"{"Verdict":{"key_hi":0,"key_lo":3735928559,"verdict":2,"model":[[3,9],[7,0]]}}"#,
+            ),
+            (
+                verdict_to_record(1, &SolverResult::Unsat),
+                r#"{"Verdict":{"key_hi":0,"key_lo":1,"verdict":0,"model":[]}}"#,
+            ),
+            (
+                verdict_to_record(2, &SolverResult::Unknown),
+                r#"{"Verdict":{"key_hi":0,"key_lo":2,"verdict":1,"model":[]}}"#,
+            ),
+            (
+                CacheRecord::Projection {
+                    key_hi: 1,
+                    key_lo: 2,
+                    known: true,
+                    ranges: vec![(0, 5), (10, 20)],
+                },
+                r#"{"Projection":{"key_hi":1,"key_lo":2,"known":true,"ranges":[[0,5],[10,20]]}}"#,
+            ),
+            (
+                CacheRecord::Projection {
+                    key_hi: 3,
+                    key_lo: 4,
+                    known: false,
+                    ranges: vec![],
+                },
+                r#"{"Projection":{"key_hi":3,"key_lo":4,"known":false,"ranges":[]}}"#,
+            ),
+            // Values past i64: a decoder reading through `as_i64` loses them.
+            (
+                verdict_to_record(u128::MAX, &SolverResult::Sat(max_model)),
+                r#"{"Verdict":{"key_hi":18446744073709551615,"key_lo":18446744073709551615,"verdict":2,"model":[[18446744073709551615,18446744073709551615]]}}"#,
+            ),
+            (
+                CacheRecord::Projection {
+                    key_hi: u64::MAX,
+                    key_lo: 0,
+                    known: true,
+                    ranges: vec![(-5, u64::MAX as i128)],
+                },
+                r#"{"Projection":{"key_hi":18446744073709551615,"key_lo":0,"known":true,"ranges":[[-5,18446744073709551615]]}}"#,
+            ),
         ];
-        for record in &records {
-            let bytes = encode(record).expect("encodable");
-            let back = decode(&bytes).expect("decodable");
-            // Debug equality is enough: the enum has no custom Eq.
-            assert_eq!(format!("{record:?}"), format!("{back:?}"));
+        for (record, text) in &records {
+            assert_eq!(String::from_utf8(encode(record)).unwrap(), *text);
+            assert_eq!(decode(text.as_bytes()).as_ref(), Some(record), "{text}");
         }
-        assert!(decode(b"not json").is_none());
-        assert!(decode(&[0xFF, 0xFE]).is_none());
+        for malformed in [
+            &b"not json"[..],
+            &[0xFF, 0xFE],
+            br#"{"Verdict":{"key_hi":0,"key_lo":1,"verdict":2}}"#,
+            br#"{"Verdict":{"key_hi":0,"key_lo":1,"verdict":300,"model":[]}}"#,
+            br#"{"Verdict":{"key_hi":-1,"key_lo":1,"verdict":0,"model":[]}}"#,
+            br#"[1,2]"#,
+            br#""Header""#,
+            br#"{"Bogus":{"version":2}}"#,
+            br#"{"Header":{"version":2},"Verdict":{}}"#,
+        ] {
+            let text = String::from_utf8_lossy(malformed);
+            assert_eq!(decode(malformed), None, "{text}");
+        }
     }
 
     #[test]
@@ -547,10 +660,9 @@ mod tests {
             let mut store = LogStore::open(&dir.join(LOG_NAME)).unwrap();
             let header = encode(&CacheRecord::Header {
                 version: FORMAT_VERSION + 1,
-            })
-            .unwrap();
+            });
             store.append(&header).unwrap();
-            let bogus = encode(&verdict_to_record(99, &SolverResult::Unsat)).unwrap();
+            let bogus = encode(&verdict_to_record(99, &SolverResult::Unsat));
             store.append(&bogus).unwrap();
             store.sync().unwrap();
         }

@@ -171,44 +171,6 @@ impl PathCond {
     pub fn atom_count(&self) -> usize {
         self.iter().map(Formula::atom_count).sum()
     }
-
-    /// Clears the solver analyses cached on every node of this condition
-    /// strictly deeper than `keep_len` conjuncts, returning how many nodes
-    /// had a cached analysis to clear.
-    ///
-    /// This is the delta-invalidation hook of the resident verification
-    /// service: when a rule delta replaces an element program, the conjuncts
-    /// pushed while executing the *old* program — every node deeper than the
-    /// element-entry checkpoint the service re-explores from — must not
-    /// contribute cached cube normalisations or verdicts to any later query.
-    /// The checkpoint prefix itself (`keep_len` nodes) is untouched: its
-    /// formulas predate the changed element, so its cached analyses stay
-    /// valid and keep being shared.
-    ///
-    /// Nodes are immutable, so a node that is *only* reachable from dropped
-    /// states dies with them anyway; the explicit clear covers stale nodes
-    /// kept alive by lingering result snapshots. The process-wide content
-    /// memos need no clearing: they are keyed on the fingerprint of the
-    /// conjunct sequence, and the re-explored paths push the *new* program's
-    /// conjuncts.
-    pub fn invalidate_deeper_than(&self, keep_len: usize) -> usize {
-        let mut cleared = 0;
-        let mut cur = self.0.as_deref();
-        while let Some(node) = cur {
-            if node.len <= keep_len {
-                break;
-            }
-            {
-                let mut cache = node.lock_cache();
-                if cache.cubes.is_some() || cache.result.is_some() {
-                    cleared += 1;
-                }
-                *cache = NodeCache::default();
-            }
-            cur = node.parent.0.as_deref();
-        }
-        cleared
-    }
 }
 
 /// Iterator over a path condition's conjuncts, newest first.
@@ -349,29 +311,6 @@ mod tests {
         assert_eq!(a, b); // distinct nodes, equal content
         assert_ne!(a, PathCond::empty());
         assert_ne!(a, PathCond::empty().push(parts[0].clone()));
-    }
-
-    #[test]
-    fn invalidate_deeper_than_clears_only_deep_caches() {
-        let base = PathCond::empty().push(Formula::eq_const(v(0), 1));
-        let deep = base
-            .push(Formula::eq_const(v(1), 2))
-            .push(Formula::eq_const(v(2), 3));
-        // Simulate a solver having cached an analysis on every node.
-        let mut cur = deep.node().map(|n| n.as_ref());
-        while let Some(node) = cur {
-            node.lock_cache().result = Some(SolverResult::Unsat);
-            cur = node.parent().node().map(|n| n.as_ref());
-        }
-        // Keeping the one-conjunct prefix clears the two deeper nodes only.
-        assert_eq!(deep.invalidate_deeper_than(1), 2);
-        assert!(base.node().unwrap().lock_cache().result.is_some());
-        assert!(deep.node().unwrap().lock_cache().result.is_none());
-        // A second sweep finds nothing left to clear.
-        assert_eq!(deep.invalidate_deeper_than(1), 0);
-        // Clearing everything reaches the base node too.
-        assert_eq!(deep.invalidate_deeper_than(0), 1);
-        assert!(base.node().unwrap().lock_cache().result.is_none());
     }
 
     #[test]

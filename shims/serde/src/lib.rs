@@ -3,18 +3,17 @@
 //! The build environment has no access to crates.io, so this workspace ships
 //! a minimal serialization framework under the `serde` package name. It keeps
 //! the trait names and call-site shapes of real serde (`Serialize`,
-//! `Deserialize`, `Serializer`, `Deserializer`, derive macros, `#[serde(skip)]`
-//! and `#[serde(with = "...")]`) but replaces serde's visitor-based data model
-//! with a simple owned [`Content`] tree: serializers consume a `Content`,
-//! deserializers produce one.
+//! `Deserialize`, `Serializer`, `Deserializer`) but replaces serde's
+//! visitor-based data model with a simple owned [`Content`] tree: serializers
+//! consume a `Content`, deserializers produce one. There are no derive
+//! macros: the one consumer, the `serde_json` shim, implements the traits
+//! for its own types and uses the std impls below.
 //!
 //! Only the API surface this repository actually uses is provided. If a new
 //! call-site needs more, extend this shim rather than depending on crates.io.
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-pub use serde_derive::{Deserialize, Serialize};
 
 /// The self-describing value tree every serialization passes through.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,15 +34,15 @@ pub enum Content {
     Map(Vec<(String, Content)>),
 }
 
-/// Error trait implemented by serializer/deserializer error types so derived
-/// code can surface message strings (mirror of serde's `ser::Error` /
+/// Error trait implemented by serializer/deserializer error types so
+/// conversions can surface message strings (mirror of serde's `ser::Error` /
 /// `de::Error`).
 pub trait Error: Sized {
     /// Builds an error carrying a display message.
     fn custom<T: fmt::Display>(msg: T) -> Self;
 }
 
-/// A type that can be serialized. The derive implements [`Self::to_content`];
+/// A type that can be serialized. Implementors provide [`Self::to_content`];
 /// `serialize` is the serde-compatible entry point.
 pub trait Serialize {
     /// Converts the value into a [`Content`] tree.
@@ -82,8 +81,8 @@ pub trait Deserialize<'de>: Sized {
 }
 
 // ---------------------------------------------------------------------------
-// Content-based serializer/deserializer (used by derived `with`-fields and by
-// serde_json)
+// Content-based serializer/deserializer (`from_content` backs the container
+// impls below and serde_json's `from_str`)
 // ---------------------------------------------------------------------------
 
 /// Error string produced while converting content trees.
@@ -139,12 +138,6 @@ impl<'de> Deserializer<'de> for ContentDeserializer {
 /// Deserializes a value from a content tree.
 pub fn from_content<'de, T: Deserialize<'de>>(content: Content) -> Result<T, ContentError> {
     T::deserialize(ContentDeserializer::new(content))
-}
-
-/// Removes and returns a named entry of a map's entry list (derive helper).
-pub fn take_field(entries: &mut Vec<(String, Content)>, key: &str) -> Option<Content> {
-    let pos = entries.iter().position(|(k, _)| k == key)?;
-    Some(entries.remove(pos).1)
 }
 
 // ---------------------------------------------------------------------------

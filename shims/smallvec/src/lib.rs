@@ -253,18 +253,6 @@ impl<T, const N: usize> IntoIterator for SmallVec<T, N> {
     }
 }
 
-impl<T: serde::Serialize, const N: usize> serde::Serialize for SmallVec<T, N> {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Seq(self.iter().map(serde::Serialize::to_content).collect())
-    }
-}
-
-impl<'de, T: serde::Deserialize<'de>, const N: usize> serde::Deserialize<'de> for SmallVec<T, N> {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        Vec::<T>::deserialize(deserializer).map(|v| v.into_iter().collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,14 +291,5 @@ mod tests {
         );
         assert_eq!(spilled.pop(), Some(3));
         assert_eq!(spilled.iter().count(), 2);
-    }
-
-    #[test]
-    fn serde_roundtrips_as_a_plain_sequence() {
-        let v: SmallVec<u32, 2> = [7u32, 8, 9].into_iter().collect();
-        let content = serde::Serialize::to_content(&v);
-        assert_eq!(content, serde::Serialize::to_content(&vec![7u32, 8, 9]));
-        let back: SmallVec<u32, 2> = serde::from_content(content).expect("roundtrip");
-        assert_eq!(back, v);
     }
 }

@@ -195,8 +195,12 @@ fn mac_age_delta_drops_the_stale_path() {
 }
 
 /// Repeated delta/verify rounds keep converging to from-scratch: state
-/// carried across rounds (pending roots, kept results, cleared caches) never
-/// accumulates drift.
+/// carried across rounds (pending roots, kept results) never accumulates
+/// drift. Each round applies a slice of deltas, then verifies once; the
+/// last five rounds are a station's life on the fan-out: A joins behind
+/// leaf 0, B behind the last leaf, A roams to leaf 1 (age and learn on two
+/// elements before one verification), A ages out, and finally the root
+/// learns B — the delta every path traverses.
 #[test]
 fn delta_streams_stay_convergent_over_many_rounds() {
     let fanout = delta_fanout(3, 2);
@@ -206,36 +210,41 @@ fn delta_streams_stay_convergent_over_many_rounds() {
     let q = service.add_query("fanout", access, 0, symbolic_tcp_packet());
     service.verify(q).unwrap();
 
-    let stream = [
-        Delta::MacLearn {
-            element: fanout.leaves[0],
-            mac: fanout_mac(8, 0),
-            vlan: None,
-            port: 1,
-        },
-        Delta::MacAge {
-            element: fanout.leaves[1],
-            mac: fanout_mac(1, 1),
-            vlan: None,
-        },
-        Delta::MacLearn {
-            element: fanout.root,
-            mac: fanout_mac(8, 0),
-            vlan: None,
-            port: 0,
-        },
-        Delta::MacLearn {
-            element: fanout.leaves[1],
-            mac: fanout_mac(1, 1),
-            vlan: None,
-            port: 1,
-        },
+    let last = fanout.leaves.len() - 1;
+    let station_a = fanout_mac(4, 0);
+    let station_b = fanout_mac(5, 0);
+    let learn = |element, mac, port| Delta::MacLearn {
+        element,
+        mac,
+        vlan: None,
+        port,
+    };
+    let age = |element, mac| Delta::MacAge {
+        element,
+        mac,
+        vlan: None,
+    };
+    let stream: [&[Delta]; 9] = [
+        &[learn(fanout.leaves[0], fanout_mac(8, 0), 1)],
+        &[age(fanout.leaves[1], fanout_mac(1, 1))],
+        &[learn(fanout.root, fanout_mac(8, 0), 0)],
+        &[learn(fanout.leaves[1], fanout_mac(1, 1), 1)],
+        &[learn(fanout.leaves[0], station_a, 0)],
+        &[learn(fanout.leaves[last], station_b, 1)],
+        &[
+            age(fanout.leaves[0], station_a),
+            learn(fanout.leaves[1], station_a, 0),
+        ],
+        &[age(fanout.leaves[1], station_a)],
+        &[learn(fanout.root, station_b, last)],
     ];
-    for (round, delta) in stream.iter().enumerate() {
-        tables
-            .apply(&mut service, delta)
-            .expect("delta applies")
-            .expect("every delta in the stream changes its table");
+    for (round, deltas) in stream.iter().enumerate() {
+        for delta in *deltas {
+            tables
+                .apply(&mut service, delta)
+                .expect("delta applies")
+                .expect("every delta in the stream changes its table");
+        }
         let incremental = service.verify(q).unwrap();
         let scratch = service
             .snapshot()
