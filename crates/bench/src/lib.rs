@@ -10,8 +10,10 @@
 //!   of every result (who wins, by roughly what factor, where the crossovers
 //!   are).
 //!
-//! Timing is not recorded here: the repository benchmark (`benchmark/`) is
-//! the one performance record.
+//! The runtime columns of `table1`, `fig8`, `table2`, `table3`, `table4` and
+//! `sec85` are single, unrepeated wall times taken with `Instant`, to show
+//! orders of magnitude beside the paper's; the repository benchmark
+//! (`benchmark/`) is the performance record.
 //!
 //! Absolute numbers differ from the paper — the original experiments ran Z3 on
 //! a 2016-era quad-core i5 against real Stanford/RouteViews datasets — but the

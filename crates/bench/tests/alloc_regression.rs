@@ -5,12 +5,12 @@
 //!
 //! The first runs the §8.5 outbound department verification — the workload
 //! the interner and small-value-storage work (hash-consed formulas, inline
-//! interval sets, inline cube literals) was sized against — under the counting
-//! global allocator and fails if allocator traffic regresses past a generous
-//! ceiling. The ceiling is ~2× the count measured when the gate was
-//! introduced (see docs/BENCHMARKS.md for the measured before/after numbers),
-//! so it only trips on wholesale regressions (an accidental `clone()` in the
-//! hot loop, a lost inline representation), not on noise.
+//! interval sets) was sized against — under the counting global allocator
+//! and fails if allocator traffic regresses past a generous ceiling. The
+//! ceiling is ~2× the count measured when the gate was introduced (see
+//! docs/BENCHMARKS.md for the measured before/after numbers), so it only trips
+//! on wholesale regressions (an accidental `clone()` in the hot loop, a lost
+//! inline representation), not on noise.
 //!
 //! The second renders the Figure 8 basic-switch report and bounds the
 //! allocations of the report writer (see the test's doc comment).

@@ -175,23 +175,29 @@ fn join_key(hi: u64, lo: u64) -> u128 {
 
 fn encode(record: &CacheRecord) -> Vec<u8> {
     let value = match record {
-        CacheRecord::Header { version } => json!({ "Header": { "version": version } }),
+        CacheRecord::Header { version } => json!({ "Header": { "version": *version } }),
         CacheRecord::Verdict {
             key_hi,
             key_lo,
             verdict,
             model,
-        } => json!({ "Verdict": {
-            "key_hi": key_hi, "key_lo": key_lo, "verdict": verdict, "model": model
-        } }),
+        } => {
+            let model: Vec<Value> = model.iter().map(|&(id, v)| json!([id, v])).collect();
+            json!({ "Verdict": {
+                "key_hi": *key_hi, "key_lo": *key_lo, "verdict": *verdict, "model": model
+            } })
+        }
         CacheRecord::Projection {
             key_hi,
             key_lo,
             known,
             ranges,
-        } => json!({ "Projection": {
-            "key_hi": key_hi, "key_lo": key_lo, "known": known, "ranges": ranges
-        } }),
+        } => {
+            let ranges: Vec<Value> = ranges.iter().map(|&(lo, hi)| json!([lo, hi])).collect();
+            json!({ "Projection": {
+                "key_hi": *key_hi, "key_lo": *key_lo, "known": *known, "ranges": ranges
+            } })
+        }
     };
     serde_json::to_string(&value)
         .expect("rendering a JSON value cannot fail")

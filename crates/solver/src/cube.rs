@@ -17,7 +17,6 @@
 use crate::formula::{CmpOp, Formula};
 use crate::interval::IntervalSet;
 use crate::term::{SymVar, Term};
-use smallvec::SmallVec;
 use std::collections::BTreeMap;
 
 /// A single literal of a cube.
@@ -48,10 +47,10 @@ pub enum Literal {
 pub struct Cube {
     /// Per-variable domain restrictions, merged by intersection.
     pub domains: BTreeMap<SymVar, IntervalSet>,
-    /// Cross-variable comparison literals. Almost every cube carries zero or
-    /// one of these (they only arise from genuine variable-to-variable
-    /// comparisons, never from table lookups), so up to two are stored inline.
-    pub cross: SmallVec<Literal, 2>,
+    /// Cross-variable comparison literals. Almost every cube carries none
+    /// (they only arise from genuine variable-to-variable comparisons, never
+    /// from table lookups), and an empty `Vec` does not allocate.
+    pub cross: Vec<Literal>,
     /// Set to true if a trivially-false literal was added.
     contradictory: bool,
 }

@@ -1,12 +1,13 @@
-//! Offline stand-in for `serde_json`.
+//! Offline stand-in for `serde_json`, reduced to the JSON value type.
 //!
 //! Provides the subset this workspace uses: [`Value`], an insertion-ordered
-//! [`Map`], the [`json!`] macro, [`to_value`], [`to_string`] /
-//! [`to_string_pretty`] (matching serde_json's 2-space pretty format) and
-//! [`from_str`] for round-trips in tests. Serialization interoperates with the
-//! workspace `serde` shim through its `Content` tree.
+//! [`Map`], the [`json!`] macro, [`to_string`] / [`to_string_pretty`]
+//! (matching serde_json's 2-space pretty format) and [`from_str`], which
+//! parses into a [`Value`]. There is no trait framework: `json!` converts its
+//! expressions with the `From` impls below, as real serde_json's `Value`
+//! also offers, and callers that write a format of their own encode it by
+//! hand.
 
-use serde::{Content, Serialize};
 use std::fmt;
 
 /// A JSON value.
@@ -50,14 +51,13 @@ impl fmt::Display for Number {
     }
 }
 
-/// An insertion-ordered string-keyed map (generic so that type annotations
-/// like `serde_json::Map<String, Value>` compile).
+/// An insertion-ordered string-keyed map.
 #[derive(Clone, Debug, PartialEq, Default)]
-pub struct Map<K = String, V = Value> {
-    entries: Vec<(K, V)>,
+pub struct Map {
+    entries: Vec<(String, Value)>,
 }
 
-impl<K: PartialEq, V> Map<K, V> {
+impl Map {
     /// Creates an empty map.
     pub fn new() -> Self {
         Map {
@@ -66,7 +66,7 @@ impl<K: PartialEq, V> Map<K, V> {
     }
 
     /// Inserts a key/value pair, replacing an existing entry with the same key.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+    pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
         if let Some(slot) = self.entries.iter_mut().find(|(k, _)| *k == key) {
             Some(std::mem::replace(&mut slot.1, value))
         } else {
@@ -76,15 +76,8 @@ impl<K: PartialEq, V> Map<K, V> {
     }
 
     /// Looks up a key.
-    pub fn get<Q>(&self, key: &Q) -> Option<&V>
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: PartialEq + ?Sized,
-    {
-        self.entries
-            .iter()
-            .find(|(k, _)| k.borrow() == key)
-            .map(|(_, v)| v)
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// True if the map has no entries.
@@ -98,27 +91,8 @@ impl<K: PartialEq, V> Map<K, V> {
     }
 
     /// Iterates over `(key, value)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
         self.entries.iter().map(|(k, v)| (k, v))
-    }
-}
-
-impl<K: PartialEq, V> FromIterator<(K, V)> for Map<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let mut map = Map::new();
-        for (k, v) in iter {
-            map.insert(k, v);
-        }
-        map
-    }
-}
-
-impl<K, V> IntoIterator for Map<K, V> {
-    type Item = (K, V);
-    type IntoIter = std::vec::IntoIter<(K, V)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.into_iter()
     }
 }
 
@@ -241,70 +215,58 @@ impl PartialEq<bool> for Value {
 }
 
 // ---------------------------------------------------------------------------
-// serde interop
+// Conversions (what `json!` calls for an expression)
 // ---------------------------------------------------------------------------
 
-fn content_to_value(content: Content) -> Value {
-    match content {
-        Content::Null => Value::Null,
-        Content::Bool(b) => Value::Bool(b),
-        Content::Int(v) => Value::Number(Number::Int(v)),
-        Content::Float(v) => Value::Number(Number::Float(v)),
-        Content::Str(s) => Value::String(s),
-        Content::Seq(elems) => Value::Array(elems.into_iter().map(content_to_value).collect()),
-        Content::Map(entries) => Value::Object(
-            entries
-                .into_iter()
-                .map(|(k, v)| (k, content_to_value(v)))
-                .collect(),
-        ),
+macro_rules! from_int {
+    ($($ty:ty),*) => {$(
+        impl From<$ty> for Value {
+            fn from(v: $ty) -> Value {
+                Value::Number(Number::Int(v as i128))
+            }
+        }
+    )*};
+}
+
+from_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, i128);
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Value {
+        Value::Number(Number::Float(v))
     }
 }
 
-fn value_to_content(value: &Value) -> Content {
-    match value {
-        Value::Null => Content::Null,
-        Value::Bool(b) => Content::Bool(*b),
-        Value::Number(Number::Int(v)) => Content::Int(*v),
-        Value::Number(Number::Float(v)) => Content::Float(*v),
-        Value::String(s) => Content::Str(s.clone()),
-        Value::Array(a) => Content::Seq(a.iter().map(value_to_content).collect()),
-        Value::Object(m) => Content::Map(
-            m.iter()
-                .map(|(k, v)| (k.clone(), value_to_content(v)))
-                .collect(),
-        ),
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
     }
 }
 
-impl Serialize for Value {
-    fn to_content(&self) -> Content {
-        value_to_content(self)
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::String(s)
     }
 }
 
-impl Serialize for Map {
-    fn to_content(&self) -> Content {
-        Content::Map(
-            self.iter()
-                .map(|(k, v)| (k.clone(), value_to_content(v)))
-                .collect(),
-        )
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::String(s.to_string())
     }
 }
 
-impl<'de> serde::Deserialize<'de> for Value {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        Ok(content_to_value(deserializer.deserialize_content()?))
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(elems: Vec<T>) -> Value {
+        Value::Array(elems.into_iter().map(Into::into).collect())
     }
 }
 
-/// Converts any serializable value into a [`Value`].
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
-    content_to_value(value.to_content())
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
 }
 
-/// Error produced by this shim's conversions.
+/// Error produced by [`from_str`] on malformed input.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Error(pub String);
 
@@ -316,19 +278,9 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl serde::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error(msg.to_string())
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Printing
 // ---------------------------------------------------------------------------
-
-// Both printers walk the `Content` tree a value serializes to. A `Value` is
-// no exception, so printing one costs a single conversion, not the round trip
-// through `to_value`.
 
 /// Appends `s` as a JSON string literal, copying the runs between bytes that
 /// need an escape in one piece (every such byte is ASCII, so the run
@@ -361,17 +313,14 @@ fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn write_compact(out: &mut String, content: &Content) {
+fn write_compact(out: &mut String, value: &Value) {
     use fmt::Write as _;
-    match content {
-        Content::Null => out.push_str("null"),
-        Content::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Content::Int(v) => write!(out, "{v}").expect("writing to a String cannot fail"),
-        Content::Float(v) => {
-            write!(out, "{}", Number::Float(*v)).expect("writing to a String cannot fail")
-        }
-        Content::Str(s) => escape_into(out, s),
-        Content::Seq(elems) => {
+    match value {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Number(n) => write!(out, "{n}").expect("writing to a String cannot fail"),
+        Value::String(s) => escape_into(out, s),
+        Value::Array(elems) => {
             out.push('[');
             for (i, v) in elems.iter().enumerate() {
                 if i > 0 {
@@ -381,9 +330,9 @@ fn write_compact(out: &mut String, content: &Content) {
             }
             out.push(']');
         }
-        Content::Map(entries) => {
+        Value::Object(map) => {
             out.push('{');
-            for (i, (k, v)) in entries.iter().enumerate() {
+            for (i, (k, v)) in map.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -408,9 +357,9 @@ fn newline(out: &mut String, levels: usize) {
     }
 }
 
-fn write_pretty(out: &mut String, content: &Content, indent: usize) {
-    match content {
-        Content::Seq(elems) if !elems.is_empty() => {
+fn write_pretty(out: &mut String, value: &Value, indent: usize) {
+    match value {
+        Value::Array(elems) if !elems.is_empty() => {
             out.push('[');
             for (i, v) in elems.iter().enumerate() {
                 if i > 0 {
@@ -422,9 +371,9 @@ fn write_pretty(out: &mut String, content: &Content, indent: usize) {
             newline(out, indent);
             out.push(']');
         }
-        Content::Map(entries) if !entries.is_empty() => {
+        Value::Object(map) if !map.is_empty() => {
             out.push('{');
-            for (i, (k, v)) in entries.iter().enumerate() {
+            for (i, (k, v)) in map.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -440,18 +389,19 @@ fn write_pretty(out: &mut String, content: &Content, indent: usize) {
     }
 }
 
-/// Renders a serializable value as compact JSON.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+/// Renders a value as compact JSON. Never fails; the `Result` is serde_json's
+/// signature.
+pub fn to_string(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_compact(&mut out, &value.to_content());
+    write_compact(&mut out, value);
     Ok(out)
 }
 
-/// Renders a serializable value as pretty JSON (2-space indent, like
-/// serde_json).
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+/// Renders a value as pretty JSON (2-space indent, like serde_json). Never
+/// fails; the `Result` is serde_json's signature.
+pub fn to_string_pretty(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_pretty(&mut out, &value.to_content(), 0);
+    write_pretty(&mut out, value, 0);
     Ok(out)
 }
 
@@ -459,8 +409,8 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 // Parsing
 // ---------------------------------------------------------------------------
 
-/// Parses into the `Content` tree deserialization starts from. The input is a
-/// `&str`, so every slice cut at an ASCII delimiter is valid UTF-8.
+/// Parses into a [`Value`]. The input is a `&str`, so every slice cut at an
+/// ASCII delimiter is valid UTF-8.
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
@@ -494,19 +444,19 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Content, Error> {
+    fn parse_value(&mut self) -> Result<Value, Error> {
         match self.peek() {
             None => Err(Error("unexpected end of input".into())),
-            Some(b'n') => self.keyword("null", Content::Null),
-            Some(b't') => self.keyword("true", Content::Bool(true)),
-            Some(b'f') => self.keyword("false", Content::Bool(false)),
-            Some(b'"') => Ok(Content::Str(self.parse_string()?)),
+            Some(b'n') => self.keyword("null", Value::Null),
+            Some(b't') => self.keyword("true", Value::Bool(true)),
+            Some(b'f') => self.keyword("false", Value::Bool(false)),
+            Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b'[') => {
                 self.pos += 1;
                 let mut elems = Vec::new();
                 if self.peek() == Some(b']') {
                     self.pos += 1;
-                    return Ok(Content::Seq(elems));
+                    return Ok(Value::Array(elems));
                 }
                 loop {
                     elems.push(self.parse_value()?);
@@ -514,7 +464,7 @@ impl<'a> Parser<'a> {
                         Some(b',') => self.pos += 1,
                         Some(b']') => {
                             self.pos += 1;
-                            return Ok(Content::Seq(elems));
+                            return Ok(Value::Array(elems));
                         }
                         _ => return Err(Error(format!("expected ',' or ']' at {}", self.pos))),
                     }
@@ -523,10 +473,10 @@ impl<'a> Parser<'a> {
             Some(b'{') => {
                 self.pos += 1;
                 // A repeated key replaces the earlier entry, as in `Map`.
-                let mut map = Map::<String, Content>::new();
+                let mut map = Map::new();
                 if self.peek() == Some(b'}') {
                     self.pos += 1;
-                    return Ok(Content::Map(map.entries));
+                    return Ok(Value::Object(map));
                 }
                 loop {
                     let key = self.parse_string()?;
@@ -537,7 +487,7 @@ impl<'a> Parser<'a> {
                         Some(b',') => self.pos += 1,
                         Some(b'}') => {
                             self.pos += 1;
-                            return Ok(Content::Map(map.entries));
+                            return Ok(Value::Object(map));
                         }
                         _ => return Err(Error(format!("expected ',' or '}}' at {}", self.pos))),
                     }
@@ -547,7 +497,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn keyword(&mut self, word: &str, value: Content) -> Result<Content, Error> {
+    fn keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
         self.skip_ws();
         if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
@@ -603,7 +553,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_number(&mut self) -> Result<Content, Error> {
+    fn parse_number(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         let start = self.pos;
         while matches!(
@@ -615,25 +565,25 @@ impl<'a> Parser<'a> {
         let text = &self.text[start..self.pos];
         if text.contains(['.', 'e', 'E']) {
             text.parse::<f64>()
-                .map(Content::Float)
+                .map(Value::from)
                 .map_err(|_| Error(format!("invalid number `{text}`")))
         } else {
             text.parse::<i128>()
-                .map(Content::Int)
+                .map(Value::from)
                 .map_err(|_| Error(format!("invalid number `{text}`")))
         }
     }
 }
 
-/// Parses JSON text into a deserializable value.
-pub fn from_str<'de, T: serde::Deserialize<'de>>(text: &str) -> Result<T, Error> {
+/// Parses JSON text into a [`Value`].
+pub fn from_str(text: &str) -> Result<Value, Error> {
     let mut parser = Parser { text, pos: 0 };
-    let content = parser.parse_value()?;
+    let value = parser.parse_value()?;
     parser.skip_ws();
     if parser.pos != text.len() {
         return Err(Error(format!("trailing input at byte {}", parser.pos)));
     }
-    serde::from_content(content).map_err(|e| Error(e.to_string()))
+    Ok(value)
 }
 
 // ---------------------------------------------------------------------------
@@ -641,8 +591,8 @@ pub fn from_str<'de, T: serde::Deserialize<'de>>(text: &str) -> Result<T, Error>
 // ---------------------------------------------------------------------------
 
 /// Builds a [`Value`] from a JSON-like literal (subset of serde_json's
-/// `json!`: object/array literals, `null`, booleans and arbitrary serializable
-/// expressions; object keys must be string literals).
+/// `json!`: object/array literals, `null`, booleans and any expression with a
+/// `From` conversion into [`Value`]; object keys must be string literals).
 #[macro_export]
 macro_rules! json {
     (null) => { $crate::Value::Null };
@@ -658,7 +608,7 @@ macro_rules! json {
         $crate::json_object_internal!(object () $($tt)+);
         $crate::Value::Object(object)
     }};
-    ($other:expr) => { $crate::to_value(&$other) };
+    ($other:expr) => { $crate::Value::from($other) };
 }
 
 /// Internal muncher for `json!` object bodies. Not public API.
@@ -729,6 +679,11 @@ mod tests {
             "count": count,
             "flag": true,
             "nothing": null,
+            "absent": None::<u64>,
+            "list": vec![4u64, 5],
+            "ratio": 0.25f64,
+            "byte": 7u8,
+            "wide": i128::MIN,
         });
         assert_eq!(v["a"], 1);
         assert_eq!(v["b"]["c"], "text");
@@ -737,6 +692,11 @@ mod tests {
         assert_eq!(v["flag"], true);
         assert_eq!(v["nothing"], Value::Null);
         assert_eq!(v["missing"], Value::Null);
+        assert_eq!(v["absent"], Value::Null);
+        assert_eq!(v["list"], json!([4, 5]));
+        assert_eq!(v["ratio"], Value::Number(Number::Float(0.25)));
+        assert_eq!(v["byte"], 7u32);
+        assert_eq!(v["wide"], Value::Number(Number::Int(i128::MIN)));
     }
 
     #[test]
@@ -749,6 +709,60 @@ mod tests {
         );
         let compact = to_string(&v).unwrap();
         assert_eq!(compact, "{\"a\":1,\"b\":[true,\"x\"]}");
+
+        // Shaped like the repository benchmark's `results.json`.
+        let (seed, nproc) = (1u64, 2usize);
+        let results = json!({
+            "commit": "abc123".to_string(),
+            "nproc": nproc,
+            "seed": seed,
+            "workloads": {
+                "router_lpm_cold": {
+                    "attempted": 12u64,
+                    "failed": 0u64,
+                    "end_to_end": {
+                        "verdict_ms": { "value": 0.13236162299999998, "unit": "ms" },
+                        "peak_rss_mb": { "value": 40.5, "unit": "MB" },
+                        "setup_s": { "value": 12.0, "unit": "s" },
+                        "report_bytes": { "value": 1e20, "unit": "bytes" },
+                    },
+                    "per_layer": {},
+                },
+            },
+            "notes": [],
+        });
+        let expected = r#"{
+  "commit": "abc123",
+  "nproc": 2,
+  "seed": 1,
+  "workloads": {
+    "router_lpm_cold": {
+      "attempted": 12,
+      "failed": 0,
+      "end_to_end": {
+        "verdict_ms": {
+          "value": 0.13236162299999998,
+          "unit": "ms"
+        },
+        "peak_rss_mb": {
+          "value": 40.5,
+          "unit": "MB"
+        },
+        "setup_s": {
+          "value": 12.0,
+          "unit": "s"
+        },
+        "report_bytes": {
+          "value": 100000000000000000000,
+          "unit": "bytes"
+        }
+      },
+      "per_layer": {}
+    }
+  },
+  "notes": []
+}"#;
+        assert_eq!(to_string_pretty(&results).unwrap(), expected);
     }
 
     #[test]
@@ -767,14 +781,14 @@ mod tests {
             text,
             "\"a\\\"b\\\\c\\n\\r\\t\\b\\f\\u0000\\u001f\u{7f}δ→你好\""
         );
-        let back: String = from_str(&text).unwrap();
-        assert_eq!(back, s);
+        let back = from_str(&text).unwrap();
+        assert_eq!(back.as_str(), Some(s));
         // `\uXXXX` and `\/` are read back even though never written.
-        let read: String = from_str("\"\\u00e9\\/\\u4f60\"").unwrap();
-        assert_eq!(read, "é/你");
-        assert!(from_str::<String>("\"open").is_err());
-        assert!(from_str::<String>("\"bad \\x\"").is_err());
-        assert!(from_str::<String>("\"cut \\u12").is_err());
+        let read = from_str("\"\\u00e9\\/\\u4f60\"").unwrap();
+        assert_eq!(read.as_str(), Some("é/你"));
+        assert!(from_str("\"open").is_err());
+        assert!(from_str("\"bad \\x\"").is_err());
+        assert!(from_str("\"cut \\u12").is_err());
     }
 
     #[test]
@@ -800,5 +814,19 @@ mod tests {
         assert_eq!(v["x"][1], -2i64);
         assert!(matches!(v["x"][2], Value::Number(Number::Float(_))));
         assert_eq!(v["y"], Value::Null);
+
+        assert_eq!(from_str(&u64::MAX.to_string()).unwrap(), u64::MAX);
+        assert_eq!(
+            from_str(&i128::MIN.to_string()).unwrap(),
+            Value::Number(Number::Int(i128::MIN))
+        );
+        for bad in [
+            "340282366920938463463374607431768211456", // past i128::MAX
+            "1 2",
+            "[1,",
+            "{\"a\" 1}",
+        ] {
+            assert!(from_str(bad).is_err(), "{bad} parsed");
+        }
     }
 }
