@@ -1,7 +1,11 @@
 //! Allocation-regression gates (enabled with `--features count-allocs`).
 //!
-//! Allocation counts repeat exactly from run to run, which wall-clock numbers
-//! on a shared box do not, so these are the first gate a regression meets.
+//! Allocation counts repeat exactly from run to run when the tests run on one
+//! thread, which wall-clock numbers on a shared box do not, so these are the
+//! first gate a regression meets. The counters are process-global: under the
+//! default parallel harness, allocations made on the harness's other threads
+//! while a test measures land in its count, so compare counts only from
+//! `--test-threads=1` runs.
 //!
 //! The first runs the §8.5 outbound department verification — the workload
 //! the interner and small-value-storage work (hash-consed formulas, inline
@@ -20,7 +24,8 @@
 //! shows up as first (see the test's doc comment).
 //!
 //! Without the feature the binary compiles to nothing; CI runs it as
-//! `cargo test -p symnet-bench --features count-allocs --test alloc_regression --release`.
+//! `cargo test -p symnet-bench --features count-allocs --test alloc_regression --release
+//! -- --test-threads=1`.
 
 #![cfg(feature = "count-allocs")]
 

@@ -641,14 +641,7 @@ impl SymNet {
         let mut roots: Vec<PendingPath> = Vec::new();
         let prefix = local_prefix(&self.network, element);
         let flows = catch_unwind(AssertUnwindSafe(|| {
-            exec_instr(
-                &mut ctx,
-                &prefix,
-                element,
-                &self.network,
-                packet,
-                ExecState::new(),
-            )
+            exec_instr(&mut ctx, &prefix, packet, ExecState::new())
         }))
         .map_err(|payload| EngineError::WorkerPanicked {
             message: panic_message(payload.as_ref()),
@@ -866,7 +859,7 @@ impl SymNet {
         }
 
         let input_code = program.code_for_input(input_port);
-        let flows = exec_instr(ctx, &prefix, element, &self.network, &input_code, state);
+        let flows = exec_instr(ctx, &prefix, &input_code, state);
         for flow in flows {
             match flow.status {
                 FlowStatus::Running => sink.emit(
@@ -915,7 +908,7 @@ impl SymNet {
             self.network.port_label(element, false, out_port),
         ));
         let output_code = program.code_for_output(out_port);
-        let flows = exec_instr(ctx, &prefix, element, &self.network, &output_code, state);
+        let flows = exec_instr(ctx, &prefix, &output_code, state);
         for flow in flows {
             match flow.status {
                 FlowStatus::Dropped(reason) => self.emit_drop(sink, element, reason, flow.state),

@@ -74,15 +74,9 @@ pub fn local_prefix(network: &Network, element: ElementId) -> String {
 }
 
 /// Interprets one instruction over one state, producing the resulting flows.
-/// `element` and `network` are threaded through for instructions that need
-/// the surrounding topology context (none of the current instruction set
-/// does outside of recursion, hence the lint allowance).
-#[allow(clippy::only_used_in_recursion)]
 pub(crate) fn exec_instr(
     ctx: &mut Ctx,
     local_prefix: &str,
-    element: ElementId,
-    network: &Network,
     instr: &Instruction,
     mut state: ExecState,
 ) -> Vec<Flow> {
@@ -94,14 +88,9 @@ pub(crate) fn exec_instr(
                 let mut next = Vec::with_capacity(flows.len());
                 for flow in flows {
                     match flow.status {
-                        FlowStatus::Running => next.extend(exec_instr(
-                            ctx,
-                            local_prefix,
-                            element,
-                            network,
-                            i,
-                            flow.state,
-                        )),
+                        FlowStatus::Running => {
+                            next.extend(exec_instr(ctx, local_prefix, i, flow.state))
+                        }
                         _ => next.push(flow),
                     }
                 }
@@ -178,14 +167,7 @@ pub(crate) fn exec_instr(
                     else_branch,
                 } = current
                 else {
-                    flows.extend(exec_instr(
-                        ctx,
-                        local_prefix,
-                        element,
-                        network,
-                        current,
-                        current_state,
-                    ));
+                    flows.extend(exec_instr(ctx, local_prefix, current, current_state));
                     break;
                 };
                 let lowered =
@@ -206,14 +188,7 @@ pub(crate) fn exec_instr(
                 if ctx.solver.is_unsat_path(then_state.path_cond()) {
                     flows.push(Flow::dropped(then_state, DropReason::InfeasibleBranch));
                 } else {
-                    flows.extend(exec_instr(
-                        ctx,
-                        local_prefix,
-                        element,
-                        network,
-                        then_branch,
-                        then_state,
-                    ));
+                    flows.extend(exec_instr(ctx, local_prefix, then_branch, then_state));
                 }
                 // Else branch: continue the walk without recursing.
                 current_state.push_trace(TraceEntry::Instruction(format!("If({cond}) [else]")));
@@ -251,14 +226,9 @@ pub(crate) fn exec_instr(
                 let mut next = Vec::with_capacity(flows.len());
                 for flow in flows {
                     match flow.status {
-                        FlowStatus::Running => next.extend(exec_instr(
-                            ctx,
-                            local_prefix,
-                            element,
-                            network,
-                            &bound,
-                            flow.state,
-                        )),
+                        FlowStatus::Running => {
+                            next.extend(exec_instr(ctx, local_prefix, &bound, flow.state))
+                        }
                         _ => next.push(flow),
                     }
                 }

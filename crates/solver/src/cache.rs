@@ -5,10 +5,12 @@
 //! cheap *across* runs. It layers two pieces on top of the
 //! [`symnet_store::LogStore`] record log:
 //!
-//! 1. **In-memory index** — sharded maps from stable 128-bit fingerprints
-//!    (see [`crate::fingerprint`]) to decoded verdicts and projections,
-//!    rebuilt from the log on [`configure`]. There is no on-disk index file:
-//!    the log *is* the store, so there is nothing to get out of sync.
+//! 1. **In-memory index** — two uncapped tables of the kind every solver cache
+//!    uses (`table.rs`), from stable 128-bit fingerprints (see
+//!    [`crate::fingerprint`]) to decoded verdicts and projections, rebuilt
+//!    from the log on [`configure`]. Their hit, miss and insert counters are
+//!    the [`CacheCounters`]. There is no on-disk index file: the log *is* the
+//!    store, so there is nothing to get out of sync.
 //! 2. **Write-behind flusher** — stores enqueue an encoded record on an
 //!    unbounded channel and return immediately; a dedicated flusher thread
 //!    owns the `LogStore` and drains the channel in batches. The solver hot
@@ -30,12 +32,12 @@
 use crate::interval::IntervalSet;
 use crate::model::Model;
 use crate::solve::SolverResult;
+use crate::table::Table;
 use crate::term::VarId;
 use serde_json::{json, Number, Value};
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use symnet_store::{LogStore, StoreError};
@@ -50,26 +52,19 @@ pub const FORMAT_VERSION: u32 = 2;
 /// File name of the record log inside the cache directory.
 const LOG_NAME: &str = "solver-cache.log";
 
-/// Shard count of the in-memory index maps.
-const SHARDS: usize = 16;
-
-fn shard(key: u128) -> usize {
-    (key as usize) % SHARDS
-}
-
-type VerdictMap = HashMap<u128, SolverResult>;
-type ProjectionMap = HashMap<u128, Option<IntervalSet>>;
-
+/// The in-memory index of the log: verdicts and projections by key. Both
+/// tables are uncapped, since they mirror what is on disk; their counters are
+/// the [`CacheCounters`].
 struct Maps {
-    verdicts: Vec<Mutex<VerdictMap>>,
-    projections: Vec<Mutex<ProjectionMap>>,
+    verdicts: Table<SolverResult>,
+    projections: Table<Option<IntervalSet>>,
 }
 
 fn maps() -> &'static Maps {
     static MAPS: OnceLock<Maps> = OnceLock::new();
     MAPS.get_or_init(|| Maps {
-        verdicts: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        projections: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+        verdicts: Table::new(usize::MAX),
+        projections: Table::new(usize::MAX),
     })
 }
 
@@ -87,15 +82,9 @@ struct Flusher {
 static FLUSHER: Mutex<Option<Flusher>> = Mutex::new(None);
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
-static VERDICT_HITS: AtomicU64 = AtomicU64::new(0);
-static VERDICT_MISSES: AtomicU64 = AtomicU64::new(0);
-static VERDICT_STORES: AtomicU64 = AtomicU64::new(0);
-static PROJECTION_HITS: AtomicU64 = AtomicU64::new(0);
-static PROJECTION_MISSES: AtomicU64 = AtomicU64::new(0);
-static PROJECTION_STORES: AtomicU64 = AtomicU64::new(0);
-
 /// Process-lifetime counters of the persistent cache (all queries by all
-/// solvers since the last [`reset_counters`]).
+/// solvers since the last [`reset_counters`]). Records loaded by [`configure`]
+/// are not stores.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Verdict lookups answered from the store.
@@ -114,24 +103,22 @@ pub struct CacheCounters {
 
 /// Snapshot of the global cache counters.
 pub fn counters() -> CacheCounters {
+    let verdicts = maps().verdicts.counters();
+    let projections = maps().projections.counters();
     CacheCounters {
-        verdict_hits: VERDICT_HITS.load(Ordering::Relaxed),
-        verdict_misses: VERDICT_MISSES.load(Ordering::Relaxed),
-        verdict_stores: VERDICT_STORES.load(Ordering::Relaxed),
-        projection_hits: PROJECTION_HITS.load(Ordering::Relaxed),
-        projection_misses: PROJECTION_MISSES.load(Ordering::Relaxed),
-        projection_stores: PROJECTION_STORES.load(Ordering::Relaxed),
+        verdict_hits: verdicts.hits,
+        verdict_misses: verdicts.misses,
+        verdict_stores: verdicts.inserts,
+        projection_hits: projections.hits,
+        projection_misses: projections.misses,
+        projection_stores: projections.inserts,
     }
 }
 
 /// Resets the global cache counters to zero (bench/test isolation).
 pub fn reset_counters() {
-    VERDICT_HITS.store(0, Ordering::Relaxed);
-    VERDICT_MISSES.store(0, Ordering::Relaxed);
-    VERDICT_STORES.store(0, Ordering::Relaxed);
-    PROJECTION_HITS.store(0, Ordering::Relaxed);
-    PROJECTION_MISSES.store(0, Ordering::Relaxed);
-    PROJECTION_STORES.store(0, Ordering::Relaxed);
+    maps().verdicts.reset_counters();
+    maps().projections.reset_counters();
 }
 
 /// True when a disk-backed cache is configured and accepting queries.
@@ -292,11 +279,7 @@ fn load_record(record: CacheRecord) {
             model,
         } => {
             if let Some(result) = record_to_verdict(verdict, &model) {
-                let key = join_key(key_hi, key_lo);
-                let mut guard = maps().verdicts[shard(key)]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                guard.entry(key).or_insert(result);
+                maps().verdicts.load(join_key(key_hi, key_lo), result);
             }
         }
         CacheRecord::Projection {
@@ -305,12 +288,8 @@ fn load_record(record: CacheRecord) {
             known,
             ranges,
         } => {
-            let key = join_key(key_hi, key_lo);
             let set = known.then(|| IntervalSet::from_ranges(ranges.iter().copied()));
-            let mut guard = maps().projections[shard(key)]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            guard.entry(key).or_insert(set);
+            maps().projections.load(join_key(key_hi, key_lo), set);
         }
     }
 }
@@ -401,13 +380,8 @@ pub fn deactivate() {
             let _ = handle.join();
         }
     }
-    let maps = maps();
-    for shard in &maps.verdicts {
-        shard.lock().unwrap_or_else(PoisonError::into_inner).clear();
-    }
-    for shard in &maps.projections {
-        shard.lock().unwrap_or_else(PoisonError::into_inner).clear();
-    }
+    maps().verdicts.clear();
+    maps().projections.clear();
 }
 
 /// Blocks until every record enqueued so far is on disk. No-op when the
@@ -436,78 +410,27 @@ fn send_record(record: &CacheRecord) {
 
 /// Looks up a persisted verdict. Counts a hit or miss.
 pub(crate) fn lookup_verdict(key: u128) -> Option<SolverResult> {
-    if !active() {
-        return None;
-    }
-    let guard = maps().verdicts[shard(key)]
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    match guard.get(&key) {
-        Some(entry) => {
-            VERDICT_HITS.fetch_add(1, Ordering::Relaxed);
-            Some(entry.clone())
-        }
-        None => {
-            VERDICT_MISSES.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-    }
+    active().then(|| maps().verdicts.get(key)).flatten()
 }
 
 /// Persists a verdict (idempotent: a key already present is left untouched,
 /// so racing workers never duplicate disk records for the maps they share).
 pub(crate) fn store_verdict(key: u128, result: &SolverResult) {
-    if !active() {
-        return;
+    if active() && maps().verdicts.insert(key, result.clone()) {
+        send_record(&verdict_to_record(key, result));
     }
-    {
-        let mut guard = maps().verdicts[shard(key)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if guard.contains_key(&key) {
-            return;
-        }
-        guard.insert(key, result.clone());
-    }
-    VERDICT_STORES.fetch_add(1, Ordering::Relaxed);
-    send_record(&verdict_to_record(key, result));
 }
 
 /// Looks up a persisted projection. Counts a hit or miss.
 pub(crate) fn lookup_projection(key: u128) -> Option<Option<IntervalSet>> {
-    if !active() {
-        return None;
-    }
-    let guard = maps().projections[shard(key)]
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    match guard.get(&key) {
-        Some(entry) => {
-            PROJECTION_HITS.fetch_add(1, Ordering::Relaxed);
-            Some(entry.clone())
-        }
-        None => {
-            PROJECTION_MISSES.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-    }
+    active().then(|| maps().projections.get(key)).flatten()
 }
 
 /// Persists a projection result (idempotent, like [`store_verdict`]).
 pub(crate) fn store_projection(key: u128, set: &Option<IntervalSet>) {
-    if !active() {
+    if !active() || !maps().projections.insert(key, set.clone()) {
         return;
     }
-    {
-        let mut guard = maps().projections[shard(key)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if guard.contains_key(&key) {
-            return;
-        }
-        guard.insert(key, set.clone());
-    }
-    PROJECTION_STORES.fetch_add(1, Ordering::Relaxed);
     let (key_hi, key_lo) = split_key(key);
     send_record(&CacheRecord::Projection {
         key_hi,

@@ -7,8 +7,8 @@
 //!   fingerprint. Two `Interned` handles are equal exactly when their values
 //!   are structurally equal; the common case is decided by pointer comparison,
 //!   and `Hash` writes the fingerprint.
-//! * [`Interner`] — a sharded, mutex-guarded hash-cons table of [`Formula`]s
-//!   bucketed by [`formula_fp`]. The process-wide instance is exposed through
+//! * [`Interner`] — a hash-cons table of [`Formula`]s keyed by
+//!   [`formula_fp`]. The process-wide instance is exposed through
 //!   [`formulas`] and [`intern_formula`].
 //!
 //! [`PathCond`](crate::path::PathCond) chains the fingerprints of its conjuncts
@@ -22,16 +22,19 @@
 //! Interners hold *strong* references to their canonical values: an interned
 //! formula stays resident after the last path referencing it dies, so the next
 //! injection of the same scenario shares the canonical allocations instead of
-//! re-interning. To bound memory, every shard runs a **second-chance sweep**
-//! once it reaches capacity: entries hit since the previous sweep keep their
-//! slot (their reference bit is cleared, arming them for the next round),
-//! one-shot entries are evicted. A working set that genuinely exceeds capacity
-//! degrades to the old clear-at-capacity behaviour — the sweep falls back to a
-//! full clear when it frees nothing — so memory stays bounded either way, but
-//! a hot working set survives instead of being thrashed out by cold traffic.
-//! [`eviction_stats`] exposes the eviction and sweep counters. Nothing is
-//! keyed on an allocation, so an evicted formula that returns under a new
-//! allocation has the same fingerprint and still hits every memo.
+//! re-interning. Memory is bounded by the rule every solver table follows
+//! (see `table.rs`): each of the 16 shards is cleared when a new formula
+//! arrives and it already holds 8 192. The bound is not reached at paper
+//! scale: `paper --full all`, Table 2's 188 500-prefix router included, ends
+//! with `interner evictions: formulas 0/0 (evicted/sweeps)`, and so does the
+//! differential fuzz campaign. [`eviction_stats`] exposes the counters.
+//! Nothing is keyed on an allocation, so a formula that returns after a clear
+//! gets a new allocation with the same fingerprint and still hits every memo.
+//!
+//! A table slot holds one value per fingerprint. Should two different
+//! formulas ever share a 128-bit fingerprint, the second gets a handle that is
+//! not stored; `Interned` equality compares structure behind the pointer
+//! test, so the two stay apart.
 //!
 //! `Arc` rather than `Rc` because interned values cross threads: the engine's
 //! work-stealing workers push and steal paths (whose nodes hold `Interned<
@@ -41,32 +44,24 @@
 
 use crate::fingerprint::formula_fp;
 use crate::formula::Formula;
-use std::collections::HashMap;
+use crate::table::Table;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// Number of independently locked shards per interner.
-const SHARD_COUNT: usize = 16;
-/// Distinct values a shard holds before it runs a second-chance sweep.
-const SHARD_CAP: usize = 8192;
+use std::sync::{Arc, OnceLock};
 
 /// Lifetime eviction counters of an interner.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EvictionStats {
-    /// Canonical values dropped by second-chance sweeps (including full-clear
-    /// fallbacks).
+    /// Canonical values dropped by capacity clears.
     pub evicted: u64,
-    /// Sweeps run.
+    /// Capacity clears: a shard was full when a new formula arrived.
     pub sweeps: u64,
 }
 
-/// Snapshot of the eviction and sweep counters of the process-wide
-/// [`formulas`] interner.
+/// Snapshot of the eviction counters of the process-wide [`formulas`]
+/// interner.
 ///
-/// `evicted == 0` after a long run means the hot working set fit in the table;
-/// a large count with few sweeps means mostly one-shot traffic aged out, which
-/// is the intended behaviour.
+/// `evicted == 0` after a long run means the working set fit in the table.
 pub fn eviction_stats() -> EvictionStats {
     formulas().eviction_stats()
 }
@@ -84,6 +79,10 @@ struct Entry<T> {
 pub struct Interned<T>(Arc<Entry<T>>);
 
 impl<T> Interned<T> {
+    fn new(fp: u128, value: T) -> Self {
+        Interned(Arc::new(Entry { fp, value }))
+    }
+
     /// True when both handles point at the same canonical allocation.
     pub fn ptr_eq(a: &Interned<T>, b: &Interned<T>) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
@@ -112,8 +111,9 @@ impl<T> Deref for Interned<T> {
 impl<T: PartialEq> PartialEq for Interned<T> {
     fn eq(&self, other: &Self) -> bool {
         // Pointer equality decides the common case; the structural fallback
-        // covers handles that straddle a shard eviction (same value interned
-        // twice into distinct canonical allocations).
+        // covers handles that straddle a shard clear (same value interned
+        // twice into distinct canonical allocations) and values that share a
+        // fingerprint.
         Interned::ptr_eq(self, other) || (self.0.fp == other.0.fp && self.0.value == other.0.value)
     }
 }
@@ -138,115 +138,56 @@ impl<T: std::fmt::Display> std::fmt::Display for Interned<T> {
     }
 }
 
-/// One resident canonical value plus its second-chance reference bit (set on
-/// every hit, cleared by a sweep — an entry survives a sweep iff it was hit
-/// since the previous one).
-struct Slot {
-    handle: Interned<Formula>,
-    touched: bool,
-}
-
-#[derive(Default)]
-struct Shard {
-    /// Fingerprint → canonical entries with that fingerprint (one, barring a
-    /// 128-bit collision, which the structural comparison still separates).
-    entries: HashMap<u128, Vec<Slot>>,
-    /// Total canonical values across all buckets.
-    live: usize,
-    /// Values evicted by sweeps over this shard's lifetime.
-    evicted: u64,
-    /// Second-chance sweeps run on this shard.
-    sweeps: u64,
-}
-
-impl Shard {
-    /// The second-chance eviction pass: keep entries whose reference bit is
-    /// set (clearing it, so surviving another round requires another hit),
-    /// evict the rest. When everything is hot — the working set genuinely
-    /// exceeds capacity — fall back to a full clear so memory stays bounded.
-    fn sweep(&mut self) {
-        let mut freed = 0usize;
-        self.entries.retain(|_, bucket| {
-            bucket.retain_mut(|slot| {
-                if slot.touched {
-                    slot.touched = false;
-                    true
-                } else {
-                    freed += 1;
-                    false
-                }
-            });
-            !bucket.is_empty()
-        });
-        self.live -= freed;
-        self.evicted += freed as u64;
-        self.sweeps += 1;
-        if self.live >= SHARD_CAP {
-            self.evicted += self.live as u64;
-            self.entries.clear();
-            self.live = 0;
-        }
-    }
-}
+/// Distinct formulas a shard of an interner holds before it is cleared.
+const SHARD_CAP: usize = 8192;
 
 /// A sharded hash-cons table of formulas. See the module docs.
 pub struct Interner {
-    shards: Vec<Mutex<Shard>>,
+    table: Table<Interned<Formula>>,
 }
 
 impl Interner {
     /// Creates an empty interner.
     pub fn new() -> Self {
         Interner {
-            shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect(),
+            table: Table::new(SHARD_CAP),
         }
     }
 
     /// Returns the canonical [`Interned`] handle for `value`, creating it if
-    /// this value has not been seen (since the last shard eviction).
+    /// this value has not been seen (since its shard was last cleared).
     pub fn intern(&self, value: Formula) -> Interned<Formula> {
-        let fp = formula_fp(&value);
-        let shard = &self.shards[(fp as usize) % SHARD_COUNT];
-        let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(bucket) = guard.entries.get_mut(&fp) {
-            if let Some(found) = bucket.iter_mut().find(|s| s.handle.0.value == value) {
-                // A hit sets the reference bit: this entry survives the next
-                // sweep.
-                found.touched = true;
-                return found.handle.clone();
-            }
-        }
-        if guard.live >= SHARD_CAP {
-            guard.sweep();
-        }
-        let interned = Interned(Arc::new(Entry { fp, value }));
-        // New entries start cold: a value never hit again is evicted by the
-        // next sweep, so one-shot traffic cannot thrash the hot working set.
-        guard.entries.entry(fp).or_default().push(Slot {
-            handle: interned.clone(),
-            touched: false,
+        self.intern_with_fp(formula_fp(&value), value)
+    }
+
+    /// [`Interner::intern`] under a given fingerprint, so that tests can
+    /// force a collision.
+    pub(crate) fn intern_with_fp(&self, fp: u128, value: Formula) -> Interned<Formula> {
+        let mut fresh = Some(value);
+        let handle = self.table.get_or_insert_with(fp, || {
+            Interned::new(fp, fresh.take().expect("`make` runs at most once"))
         });
-        guard.live += 1;
-        interned
+        match fresh {
+            // A different value already holds this fingerprint: the table
+            // keeps it, and this value gets a handle of its own, which
+            // equality tells apart by structure.
+            Some(value) if *handle != value => Interned::new(fp, value),
+            _ => handle,
+        }
     }
 
     /// Number of canonical values currently resident (for tests/diagnostics).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).live)
-            .sum()
+        self.table.len()
     }
 
     /// Lifetime eviction counters of this interner, summed over its shards.
     pub fn eviction_stats(&self) -> EvictionStats {
-        let mut stats = EvictionStats::default();
-        for shard in &self.shards {
-            let guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            stats.evicted += guard.evicted;
-            stats.sweeps += guard.sweeps;
+        let c = self.table.counters();
+        EvictionStats {
+            evicted: c.evicted,
+            sweeps: c.clears,
         }
-        stats
     }
 
     /// True when no value is resident.
@@ -275,6 +216,7 @@ pub fn intern_formula(formula: Formula) -> Interned<Formula> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::SHARDS;
     use crate::term::SymVar;
     use std::collections::hash_map::DefaultHasher;
 
@@ -300,47 +242,58 @@ mod tests {
     }
 
     #[test]
-    fn hot_values_survive_sweeps_while_cold_traffic_is_evicted() {
+    fn cold_traffic_past_capacity_clears_shards_and_stays_bounded() {
         let local = Interner::new();
-        let hot = Formula::eq_const(v(70_010), 42);
-        let hot_handle = local.intern(hot.clone());
-        // Enough distinct cold values to drive every shard past capacity
-        // (twice over, so variance in hash distribution cannot save a shard
-        // from sweeping), re-touching the hot value often enough that its
-        // reference bit is always set when its shard sweeps.
-        let total = SHARD_COUNT * SHARD_CAP * 2;
+        // Enough distinct values to drive every shard past capacity (twice
+        // over, so variance in hash distribution cannot save a shard from
+        // clearing).
+        let total = SHARDS * SHARD_CAP * 2;
         for i in 0..total {
             local.intern(Formula::eq_const(v(80_000 + (i as u64 % 64)), i as u64));
-            if i % 1024 == 0 {
-                let again = local.intern(hot.clone());
-                assert!(Interned::ptr_eq(&hot_handle, &again));
-            }
         }
         let stats = local.eviction_stats();
-        assert!(stats.sweeps > 0, "cold traffic must trigger sweeps");
-        assert!(stats.evicted > 0, "one-shot values must be evicted");
+        assert!(stats.sweeps > 0, "cold traffic must clear shards");
+        assert!(stats.evicted > 0, "cleared values must be counted");
         assert!(
             local.len() < total,
             "table stays bounded: {} resident after {} inserts",
             local.len(),
             total
         );
-        // The hot value kept its slot: same canonical allocation.
-        let again = local.intern(hot);
-        assert!(Interned::ptr_eq(&hot_handle, &again));
+        assert!(local.len() <= SHARDS * SHARD_CAP);
+    }
+
+    #[test]
+    fn a_fingerprint_collision_gets_a_handle_of_its_own() {
+        let local = Interner::new();
+        let fp = formula_fp(&Formula::eq_const(v(70_020), 1));
+        let stored = local.intern_with_fp(fp, Formula::eq_const(v(70_020), 1));
+        let other = Formula::eq_const(v(70_021), 2);
+        let colliding = local.intern_with_fp(fp, other.clone());
+        assert_eq!(*colliding, other);
+        assert_ne!(colliding, stored);
+        // The table keeps the first value; the colliding one is not stored.
+        assert_eq!(local.len(), 1);
+        assert!(Interned::ptr_eq(
+            &stored,
+            &local.intern_with_fp(fp, Formula::eq_const(v(70_020), 1))
+        ));
+        let again = local.intern_with_fp(fp, other);
+        assert!(!Interned::ptr_eq(&colliding, &again));
+        assert_eq!(colliding, again);
     }
 
     #[test]
     fn process_wide_eviction_stats_are_readable() {
         let stats = eviction_stats();
         // Counters are monotone and only move together: an eviction implies at
-        // least one sweep.
+        // least one clear.
         assert!(stats.evicted == 0 || stats.sweeps > 0);
     }
 
     #[test]
     fn interned_equality_survives_distinct_allocations() {
-        // Simulate the post-eviction case: equal values behind different Arcs.
+        // Simulate the post-clear case: equal values behind different Arcs.
         let local = Interner::new();
         let a = local.intern(Formula::eq_const(v(70_004), 1));
         let other = Interner::new();

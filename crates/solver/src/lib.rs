@@ -61,6 +61,7 @@ pub mod model;
 pub mod path;
 pub mod solve;
 pub mod stats;
+mod table;
 pub mod term;
 
 pub use cache::CacheCounters;

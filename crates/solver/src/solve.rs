@@ -21,9 +21,10 @@ use crate::interval::IntervalSet;
 use crate::model::Model;
 use crate::path::{NodeCache, PathCond, PathNode};
 use crate::stats::SolverStats;
+use crate::table::Table;
 use crate::term::SymVar;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::collections::BTreeMap;
+use std::sync::{Arc, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Tunable limits of the decision procedure.
@@ -84,85 +85,38 @@ impl SolverResult {
     }
 }
 
-/// Each shard of a content memo is cleared once it reaches this many entries
-/// (a crude bound that keeps long runs from hoarding memory; correctness does
-/// not depend on what survives).
-const MEMO_CAPACITY: usize = 8192;
-
 /// The cube normalisation of a path-condition prefix, or the budget overflow
 /// that aborted it.
 type CachedCubes = Result<Arc<Vec<Cube>>, CubeOverflow>;
 
-/// Number of independently locked shards of each global content memo.
-const CONTENT_SHARDS: usize = 16;
+/// Keys a shard of each content memo holds before it is cleared.
+const MEMO_CAPACITY: usize = 8192;
 
-/// A process-wide memo keyed on the query key the persistent store uses too
-/// (see [`Solver::persisted`]): the prefix fingerprint and the solver's
-/// [`fingerprint::config_fp`], combined under the query's domain tag. Shared
-/// by every worker's solver *and across injections*: re-injecting a
-/// structurally identical scenario reproduces the same fingerprints and
-/// therefore hits these entries instead of re-solving, while solvers with
-/// different budgets never exchange results.
+/// The content memos are process-wide tables keyed on the query key the
+/// persistent store uses too (see [`Solver::persisted`]): the prefix
+/// fingerprint and the solver's [`fingerprint::config_fp`], combined under the
+/// query's domain tag. They are shared by every worker's solver *and across
+/// injections*: re-injecting a structurally identical scenario reproduces the
+/// same fingerprints and therefore hits these entries instead of re-solving,
+/// while solvers with different budgets never exchange results.
 ///
 /// An entry is a pure function of its key, so a hit is taken whenever there
 /// is one — whatever the state of the queried chain's node caches — and
-/// changes nothing a report pins (see [`crate::stats`]).
+/// changes nothing a report pins (see [`crate::stats`]). Each memo is cleared
+/// shard by shard at capacity, like every solver table.
 ///
-/// Shards are selected by key and cleared at capacity — correctness never
-/// depends on what survives eviction.
-struct ContentMemo<V> {
-    shards: Vec<Mutex<HashMap<u128, V>>>,
+/// The memo for [`Solver::check_path`]: `DOMAIN_PATH` key → (prefix cubes,
+/// verdict).
+fn path_memo() -> &'static Table<(CachedCubes, SolverResult)> {
+    static MEMO: OnceLock<Table<(CachedCubes, SolverResult)>> = OnceLock::new();
+    MEMO.get_or_init(|| Table::new(MEMO_CAPACITY))
 }
 
-impl<V: Clone> ContentMemo<V> {
-    fn new() -> Self {
-        ContentMemo {
-            shards: (0..CONTENT_SHARDS).map(|_| Mutex::default()).collect(),
-        }
-    }
-
-    fn shard(&self, key: u128) -> &Mutex<HashMap<u128, V>> {
-        &self.shards[(key as usize) % CONTENT_SHARDS]
-    }
-
-    fn get(&self, key: u128) -> Option<V> {
-        let guard = self
-            .shard(key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.get(&key).cloned()
-    }
-
-    fn insert(&self, key: u128, value: V) {
-        let mut guard = self
-            .shard(key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if guard.len() >= MEMO_CAPACITY {
-            guard.clear();
-        }
-        guard.insert(key, value);
-    }
-
-    fn clear_all(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap_or_else(PoisonError::into_inner).clear();
-        }
-    }
-}
-
-/// Global memo for [`Solver::check_path`]: `DOMAIN_PATH` key → (prefix
-/// cubes, verdict).
-fn path_memo() -> &'static ContentMemo<(CachedCubes, SolverResult)> {
-    static MEMO: OnceLock<ContentMemo<(CachedCubes, SolverResult)>> = OnceLock::new();
-    MEMO.get_or_init(ContentMemo::new)
-}
-
-/// Global memo for [`Solver::feasible_values_path`]: `DOMAIN_PROJECTION` key
-/// → projection.
-fn feasible_memo() -> &'static ContentMemo<Option<IntervalSet>> {
-    static MEMO: OnceLock<ContentMemo<Option<IntervalSet>>> = OnceLock::new();
-    MEMO.get_or_init(ContentMemo::new)
+/// The memo for [`Solver::feasible_values_path`]: `DOMAIN_PROJECTION` key →
+/// projection (see [`path_memo`]).
+fn feasible_memo() -> &'static Table<Option<IntervalSet>> {
+    static MEMO: OnceLock<Table<Option<IntervalSet>>> = OnceLock::new();
+    MEMO.get_or_init(|| Table::new(MEMO_CAPACITY))
 }
 
 /// Clears the process-wide content memos. Benchmarks use this to measure a
@@ -171,8 +125,8 @@ fn feasible_memo() -> &'static ContentMemo<Option<IntervalSet>> {
 /// production code has no reason to call it.
 #[doc(hidden)]
 pub fn reset_process_memos() {
-    path_memo().clear_all();
-    feasible_memo().clear_all();
+    path_memo().clear();
+    feasible_memo().clear();
 }
 
 /// What a query hands back — a verdict or a projection: how it counts as an
@@ -238,6 +192,11 @@ impl Answer for Option<IntervalSet> {
 /// * the **persistent store** ([`crate::cache`], off unless a directory is
 ///   configured) keeps verdicts and projections across processes, under the
 ///   same keys as the content memos.
+///
+/// The memos, the store's in-memory index and the formula interner are one
+/// table type with one rule: a shard that reaches its capacity is cleared
+/// (the store's index has none). No measured workload fills one; `paper
+/// --full all` ends with `interner evictions: formulas 0/0`.
 ///
 /// Which layer answers a query shows only in the measurement counters of
 /// [`SolverStats`], never in an answer or in what a report serialises.

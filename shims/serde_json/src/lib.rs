@@ -40,13 +40,14 @@ impl fmt::Display for Number {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Number::Int(v) => write!(f, "{v}"),
-            Number::Float(v) => {
-                if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
-                    write!(f, "{v:.1}")
-                } else {
-                    write!(f, "{v}")
-                }
-            }
+            // JSON has no NaN or infinity: they are written as `null`, as
+            // serde_json writes them.
+            Number::Float(v) if !v.is_finite() => f.write_str("null"),
+            Number::Float(v) if v.fract() == 0.0 && v.abs() < 1e15 => write!(f, "{v:.1}"),
+            // Integer-valued past `i128`: bare digits would not parse back,
+            // the exponent form reads back as a float.
+            Number::Float(v) if v.abs() >= i128::MAX as f64 => write!(f, "{v:e}"),
+            Number::Float(v) => write!(f, "{v}"),
         }
     }
 }
@@ -820,6 +821,19 @@ mod tests {
             from_str(&i128::MIN.to_string()).unwrap(),
             Value::Number(Number::Int(i128::MIN))
         );
+        // Every float reads back as written, or as `null` where JSON has no
+        // text for it.
+        for (float, text, back) in [
+            (1e40, "1e40", Value::from(1e40)),
+            (-1e300, "-1e300", Value::from(-1e300)),
+            (f64::NAN, "null", Value::Null),
+            (f64::INFINITY, "null", Value::Null),
+        ] {
+            let written = to_string(&json!(float)).unwrap();
+            assert_eq!(written, text);
+            assert_eq!(from_str(&written).unwrap(), back, "{text}");
+        }
+
         for bad in [
             "340282366920938463463374607431768211456", // past i128::MAX
             "1 2",
